@@ -2,7 +2,7 @@
 
 Three decision procedures are provided:
 
-* `direct_method` -- solves the weighted Laplacian null system in two real
+* `direct_method` -- solves the weighted Laplacian null system in two
   least-squares stages (standard part, then dual part) and certifies the
   verdict by conjugating the Laplacian onto the unweighted one.
 * `gain_graph_method` -- symmetrizes the digraph into a gain graph with a
@@ -30,16 +30,14 @@ import numpy as np
 from .algebra import DualQuaternion
 from . import linalg
 from .graphs import (
-    Digraph,
     OrientedCycle,
     WeightedDigraph,
     build,
     enumerate_cycles,
     is_weakly_connected,
     laplacian,
-    orient_cycle,
+    laplacian_entries,
     unweighted_laplacian,
-    weighted_magnitude_laplacian,
     walk_weight,
 )
 
@@ -193,19 +191,36 @@ def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
     return DualSolveResult(x, consistent, ortho)
 
 
+def _conjugation_residual(rows: np.ndarray, cols: np.ndarray, entries: np.ndarray,
+                          target: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """Frobenius norm of ``diag(left) M diag(right) - T`` from M's and T's nonzeros.
+
+    ``entries`` (shape (k, 8)) and ``target`` (shape (k,)) hold the dual
+    quaternion matrix M and the real matrix T at the 0-based positions
+    ``(rows, cols)``, which must cover every nonzero entry of both.  Every
+    other entry of the difference is an exact zero for finite ``left`` and
+    ``right``, so this is the norm over all n x n x 8 real components.
+    """
+    prod = linalg.dqmul(linalg.dqmul(left[rows], entries), right[cols])
+    prod[:, 0] -= target
+    return linalg.fr_norm(prod)
+
+
 def similarity_residual(L_hat: np.ndarray, x: np.ndarray, L: np.ndarray) -> float:
     """Residual of conjugating the weighted Laplacian onto a real one.
 
     ``x`` is the null-system solution with unit entries; the diagonal
     conjugation uses its entrywise conjugate:
     ``err = | diag(conj(x)) L_hat diag(x) - L |`` over all real components.
+    Only the entries where ``L_hat`` or ``L`` is nonzero (the diagonal and
+    the arcs) are multiplied out.
     """
-    q = linalg.dqconj(np.asarray(x, dtype=np.float64))
-    inner = linalg.dqmul(q[:, None, :], L_hat)
-    outer = linalg.dqmul(inner, linalg.dqconj(q)[None, :, :])
-    target = np.zeros_like(outer)
-    target[:, :, 0] = L
-    return linalg.fr_norm(outer - target)
+    x = np.asarray(x, dtype=np.float64)
+    L_hat = np.asarray(L_hat, dtype=np.float64)
+    L = np.asarray(L, dtype=np.float64)
+    rows, cols = np.nonzero(np.any(L_hat != 0.0, axis=2) | (L != 0.0))
+    return _conjugation_residual(rows, cols, L_hat[rows, cols], L[rows, cols],
+                                 linalg.dqconj(x), x)
 
 
 def _require_unit_connected(g: WeightedDigraph, method: str) -> None:
@@ -372,8 +387,8 @@ def _spanning_forest_theta(g: WeightedDigraph):
     Roots get potential 1, children ``theta(parent) * weight`` along forward
     tree arcs and ``theta(parent) * weight^-1`` along backward ones.  BFS
     starts at vertex 1 (smallest unvisited vertex per component) and explores
-    incident arcs in ascending (tail, head) order.  Also returns the tree as
-    a parent map for witness-path reconstruction.
+    incident arcs in ascending (tail, head) order.  Also returns the tree:
+    each non-root vertex mapped to the arc that reached it.
     """
     unit = g.weight_type.is_unit
     adj: dict[int, list[tuple[tuple[int, int], int]]] = {v: [] for v in range(1, g.n + 1)}
@@ -383,7 +398,7 @@ def _spanning_forest_theta(g: WeightedDigraph):
     for v in adj:
         adj[v].sort(key=lambda item: item[0])
     theta: dict[int, DualQuaternion] = {}
-    parent: dict[int, int] = {}
+    tree: dict[int, tuple[int, int]] = {}
     for root in range(1, g.n + 1):
         if root in theta:
             continue
@@ -399,9 +414,9 @@ def _spanning_forest_theta(g: WeightedDigraph):
                     theta[u] = theta[v] * w
                 else:
                     theta[u] = theta[v] * (w.conjugate() if unit else w.inverse())
-                parent[u] = v
+                tree[u] = arc
                 queue.append(u)
-    return theta, parent
+    return theta, tree
 
 
 def _arc_scalars(g: WeightedDigraph, theta) -> dict[tuple[int, int], float]:
@@ -451,7 +466,8 @@ def wdg_similarity_check(g: WeightedDigraph,
     ``diag(y)^-1 L_hat diag(y)`` from the real Laplacian with entries
     ``|standard part|``, and ``null_residual = |L_hat y|``, for the
     inverse-potential vector ``y``.  Both are below the balance threshold
-    exactly when the assignment is a genuine potential.
+    exactly when the assignment is a genuine potential.  Both are evaluated
+    on the diagonal and the arcs only, where the Laplacians can be nonzero.
     """
     thetas = []
     for v in range(1, g.n + 1):
@@ -460,15 +476,11 @@ def wdg_similarity_check(g: WeightedDigraph,
             raise NonInvertibleThetaError(f"theta({v}) is not appreciable")
         thetas.append(t)
     y = np.array([e.to_array() for e in _inverse_potential(thetas)])
-    L_hat = laplacian(g)
-    y_inv = linalg.dqinv(y)
-    inner = linalg.dqmul(y_inv[:, None, :], L_hat)
-    outer = linalg.dqmul(inner, y[None, :, :])
-    target = np.zeros_like(outer)
-    target[:, :, 0] = weighted_magnitude_laplacian(g)
-    err = linalg.fr_norm(outer - target)
-    null_residual = linalg.fr_norm(linalg.dqmat_apply(L_hat, y))
-    return err, null_residual
+    rows, cols, L_hat, magnitudes = laplacian_entries(g)
+    err = _conjugation_residual(rows, cols, L_hat, magnitudes, linalg.dqinv(y), y)
+    L_hat_y = np.zeros_like(y)
+    np.add.at(L_hat_y, rows, linalg.dqmul(L_hat, y[cols]))
+    return err, linalg.fr_norm(L_hat_y)
 
 
 def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
@@ -480,11 +492,11 @@ def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
     """
     if not is_weakly_connected(g.graph):
         raise NotConnectedError("wdg_similarity_method requires a weakly connected graph")
-    theta, parent = _spanning_forest_theta(g)
+    theta, tree = _spanning_forest_theta(g)
     c = _arc_scalars(g, theta)
     bad = _potential_defect(g, theta, c)
     if bad is not None:
-        witness = _closing_cycle(g.graph, parent, bad)
+        witness = _closing_cycle(tree, bad)
         return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY,
                              failure_stage=FailureStage.CYCLE_FOUND,
                              witness=witness)
@@ -498,24 +510,38 @@ def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
                          formation=tuple(_inverse_potential(thetas)), err=err)
 
 
-def _closing_cycle(graph: Digraph, parent: dict[int, int],
+def _closing_cycle(tree: dict[int, tuple[int, int]],
                    arc: tuple[int, int]) -> OrientedCycle | None:
-    """The simple cycle formed by an arc plus the tree path between its ends."""
+    """The simple cycle formed by an arc plus the tree path between its ends.
+
+    Each tree step runs along the arc the spanning tree used, so the cycle's
+    product is the one the potential was propagated over, also between two
+    vertices joined by arcs both ways.
+    """
+    def parent(vert):
+        tail, head = tree[vert]
+        return tail if head == vert else head
+
     u, v = arc
     up_u = [u]
-    while up_u[-1] in parent:
-        up_u.append(parent[up_u[-1]])
+    while up_u[-1] in tree:
+        up_u.append(parent(up_u[-1]))
     index_u = {vert: k for k, vert in enumerate(up_u)}
     up_v = [v]
     while up_v[-1] not in index_u:
-        if up_v[-1] not in parent:
+        if up_v[-1] not in tree:
             return None  # different BFS components; no closing cycle
-        up_v.append(parent[up_v[-1]])
+        up_v.append(parent(up_v[-1]))
     meet = up_v[-1]
     # u -> v along the arc, v up to the meeting vertex, then down to u.
     meet_to_u = list(reversed(up_u[:index_u[meet] + 1]))  # [meet, ..., u]
     vertices = [u] + up_v[:-1] + meet_to_u[:-1]
-    return orient_cycle(vertices, graph)
+    forward = [True]
+    for a, b in zip(vertices[1:], vertices[2:] + [u]):
+        # The tree arc between a and b is the one that reached the child.
+        tree_arc = tree[a] if a in tree and b in tree[a] else tree[b]
+        forward.append(tree_arc == (a, b))
+    return OrientedCycle(tuple(vertices), tuple(forward))
 
 
 def relative_configuration_residual(g: WeightedDigraph, formation) -> float:

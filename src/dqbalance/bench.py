@@ -1,14 +1,16 @@
 """Benchmark harness: balance checks over generated directed cycles.
 
 For every (size, weight type, method) cell, a balanced cycle is generated
-and checked; wall time covers the check only (generation excluded).  Output
-is CSV with the fixed columns ``n,weight_type,method,cpu_seconds,err,verdict``.
+and checked; wall and CPU time cover the check only (generation excluded).
+Output is CSV with the fixed columns
+``n,weight_type,method,wall_seconds,cpu_seconds,err,verdict``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -18,7 +20,7 @@ from .balance import Method, check_balance
 from .generate import gen_cycle
 from .graphs import WeightType
 
-CSV_COLUMNS = ("n", "weight_type", "method", "cpu_seconds", "err", "verdict")
+CSV_COLUMNS = ("n", "weight_type", "method", "wall_seconds", "cpu_seconds", "err", "verdict")
 
 DEFAULT_SIZES = (10, 20, 50, 100, 200, 500)
 DEFAULT_TYPES = (WeightType.UNIT_COMPLEX, WeightType.UNIT_DUAL_QUATERNION)
@@ -30,7 +32,8 @@ class BenchRecord:
     n: int
     weight_type: str
     method: str
-    cpu_seconds: float
+    wall_seconds: float           # time.perf_counter
+    cpu_seconds: float            # time.process_time
     err: float
     verdict: str
 
@@ -51,16 +54,19 @@ def run_benchmark(sizes: Sequence[int] = DEFAULT_SIZES,
             rng = np.random.default_rng(np.random.SeedSequence([seed, ti, n]))
             g = gen_cycle(n, weight_type, rng)
             for method in (Method(m) for m in methods):
-                times = []
+                walls, cpus = [], []
                 report = None
                 for _ in range(max(1, repetitions)):
+                    cpu0 = time.process_time()
                     report = check_balance(g, method)
-                    times.append(report.seconds)
+                    cpus.append(time.process_time() - cpu0)
+                    walls.append(report.seconds)
                 records.append(BenchRecord(
                     n=n,
                     weight_type=weight_type.value,
                     method=method.value,
-                    cpu_seconds=float(np.mean(times)),
+                    wall_seconds=float(np.mean(walls)),
+                    cpu_seconds=float(np.mean(cpus)),
                     err=report.err if report.err is not None else math.nan,
                     verdict=report.verdict.value,
                 ))
@@ -72,7 +78,7 @@ def write_csv(records: Iterable[BenchRecord], stream: IO[str]) -> None:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([r.n, r.weight_type, r.method,
-                         repr(r.cpu_seconds), repr(r.err), r.verdict])
+                         repr(r.wall_seconds), repr(r.cpu_seconds), repr(r.err), r.verdict])
 
 
 def save_csv(records: Iterable[BenchRecord], path) -> None:

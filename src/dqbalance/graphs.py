@@ -215,29 +215,53 @@ def out_degree(g: WeightedDigraph, i: int) -> float:
     return float(sum(g.weights[a].s.norm() for a in arcs_out))
 
 
+def laplacian_entries(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray, np.ndarray]:
+    """The entries of `laplacian` and `weighted_magnitude_laplacian` that can be nonzero.
+
+    Returns ``(rows, cols, L, M)``: 0-based positions, the n diagonal entries
+    first and then one entry per arc in arc order, with the dual quaternion
+    values ``L`` (shape (n + m, 8)) of the weighted Laplacian and the real
+    values ``M`` (shape (n + m,)) of the magnitude Laplacian there.  Every
+    other entry of both matrices is zero.  One pass over the arcs adds each
+    out-degree (see `out_degree`) as it goes.
+    """
+    n, m = g.n, len(g.arcs)
+    unit = g.weight_type.is_unit
+    rows = np.empty(n + m, dtype=np.intp)
+    cols = np.empty(n + m, dtype=np.intp)
+    rows[:n] = cols[:n] = np.arange(n)
+    L = np.zeros((n + m, 8))
+    M = np.zeros(n + m)
+    for k, (i, j) in enumerate(g.arcs, start=n):
+        w = g.weights[(i, j)]
+        mag = w.s.norm()
+        rows[k], cols[k] = i - 1, j - 1
+        L[k] = -w.to_array()
+        M[k] = -mag
+        degree = 1.0 if unit else mag
+        L[i - 1, 0] += degree
+        M[i - 1] += degree
+    return rows, cols, L, M
+
+
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Weighted Laplacian D - A as a dual quaternion matrix, shape (n, n, 8).
 
     D is the diagonal of out-degrees and A holds the arc weights at (tail, head).
     """
-    n = g.n
-    L = np.zeros((n, n, 8))
-    for i in range(1, n + 1):
-        L[i - 1, i - 1, 0] = out_degree(g, i)
-    for (i, j), w in g.weights.items():
-        L[i - 1, j - 1] -= w.to_array()
-    return L
+    rows, cols, L, _ = laplacian_entries(g)
+    out = np.zeros((g.n, g.n, 8))
+    out[rows, cols] = L
+    return out
 
 
 def weighted_magnitude_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Real Laplacian D - A with a_ij = |standard part of the (i, j) weight|."""
-    n = g.n
-    L = np.zeros((n, n))
-    for i in range(1, n + 1):
-        L[i - 1, i - 1] = out_degree(g, i)
-    for (i, j), w in g.weights.items():
-        L[i - 1, j - 1] -= w.s.norm()
-    return L
+    rows, cols, _, M = laplacian_entries(g)
+    out = np.zeros((g.n, g.n))
+    out[rows, cols] = M
+    return out
 
 
 def unweighted_laplacian(g: Digraph) -> np.ndarray:

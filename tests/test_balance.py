@@ -43,6 +43,7 @@ from dqbalance.graphs import (
     laplacian,
     unweighted_laplacian,
     walk_weight,
+    weighted_magnitude_laplacian,
 )
 
 from conftest import I, J, K, ONE, balanced_cycle3, make_cycle3, make_tree
@@ -219,6 +220,60 @@ def test_similarity_wrong_vector(rng):
     x = np.array([random_udq(rng).to_array() for _ in range(3)])
     err = similarity_residual(laplacian(g), x, unweighted_laplacian(g.graph))
     assert err > 1e-8
+
+
+def dense_similarity_residual(L_hat, x, L):
+    """The certificate multiplied out over every n x n entry."""
+    q = linalg.dqconj(x)
+    outer = linalg.dqmul(linalg.dqmul(q[:, None, :], L_hat), linalg.dqconj(q)[None, :, :])
+    target = np.zeros_like(outer)
+    target[:, :, 0] = L
+    return linalg.fr_norm(outer - target)
+
+
+def dense_wdg_similarity_check(g, assignment):
+    """`wdg_similarity_check` multiplied out over every n x n entry."""
+    y = np.array([(assignment.theta[v].inverse() * assignment.theta[v].s.norm()).to_array()
+                  for v in range(1, g.n + 1)])
+    L_hat = laplacian(g)
+    outer = linalg.dqmul(linalg.dqmul(linalg.dqinv(y)[:, None, :], L_hat), y[None, :, :])
+    target = np.zeros_like(outer)
+    target[:, :, 0] = weighted_magnitude_laplacian(g)
+    return linalg.fr_norm(outer - target), linalg.fr_norm(linalg.dqmat_apply(L_hat, y))
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-12 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_support_certificates_equal_dense_formula(rng, wt):
+    for n, density in ((1, 0.0), (6, 0.3), (12, 0.2)):
+        g = gen_random_balanced(n, density, wt, rng)
+        pa = build_potential(g)
+        wrong = PotentialAssignment(
+            {v: DualQuaternion.from_array(rng.normal(size=8)) for v in range(1, n + 1)},
+            pa.c)
+        for assignment in (pa, wrong):
+            err, null_residual = wdg_similarity_check(g, assignment)
+            err_ref, null_ref = dense_wdg_similarity_check(g, assignment)
+            assert close(err, err_ref) and close(null_residual, null_ref)
+        x_good = np.array([pa.theta[v].conjugate().to_array() for v in range(1, n + 1)])
+        for x in (x_good, rng.normal(size=(n, 8))):
+            for L in (unweighted_laplacian(g.graph), weighted_magnitude_laplacian(g)):
+                assert close(similarity_residual(laplacian(g), x, L),
+                             dense_similarity_residual(laplacian(g), x, L))
+        if wt.is_unit:
+            assert similarity_residual(laplacian(g), x_good,
+                                       unweighted_laplacian(g.graph)) <= 1e-10
+
+
+def test_similarity_counts_target_entries_off_the_weighted_support(rng):
+    g, _ = balanced_cycle3(rng)
+    x = np.array([random_udq(rng).to_array() for _ in range(3)])
+    L = rng.normal(size=(3, 3))
+    assert close(similarity_residual(laplacian(g), x, L),
+                 dense_similarity_residual(laplacian(g), x, L))
 
 
 def test_similarity_small_cycles_err_band(rng):
@@ -425,6 +480,22 @@ def test_wdg_method_verdicts(rng):
         assert report.verdict is Verdict.UNBALANCED
         assert report.witness is not None
         assert not is_neutral(walk_weight(gp, report.witness))
+
+
+def test_wdg_witness_follows_the_tree_arc_of_an_antiparallel_pair():
+    # The BFS tree reaches 2 by (1, 2) and 3 by (1, 3); (2, 3) is the first
+    # arc off the potential.  Closing it through the tree steps 3 -> 1
+    # against (1, 3), whose weight makes the cycle non-neutral; the parallel
+    # arc (3, 1) would make a neutral cycle: 1 * (-i) * i = 1.
+    i = DualQuaternion(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 0, 0))
+    g = build(3, [(1, 2), (1, 3), (2, 3), (3, 1)],
+              {(1, 2): i, (1, 3): ONE, (2, 3): ONE, (3, 1): -1.0 * i},
+              WeightType.COMPLEX)
+    report = wdg_similarity_method(g)
+    assert report.verdict is Verdict.UNBALANCED
+    assert report.failure_stage is FailureStage.CYCLE_FOUND
+    assert report.witness.arcs() == [(2, 3), (1, 3), (1, 2)]
+    assert cycle_deviation(g, report.witness) > 0.1
 
 
 def test_wdg_non_invertible_theta(rng):

@@ -15,7 +15,7 @@ def test_run_benchmark_grid_shape():
     assert len(records) == 8
     assert all(r.verdict == "balanced" for r in records)
     assert all(r.err <= 1e-8 for r in records)
-    assert all(r.cpu_seconds >= 0.0 for r in records)
+    assert all(r.wall_seconds >= 0.0 and r.cpu_seconds >= 0.0 for r in records)
 
 
 def test_benchmark_deterministic_errs():
@@ -27,13 +27,14 @@ def test_benchmark_deterministic_errs():
 
 
 def test_csv_output():
-    records = [BenchRecord(10, "unit_complex", "direct", 0.01, 1e-15, "balanced")]
+    records = [BenchRecord(10, "unit_complex", "direct", 0.01, 0.02, 1e-15, "balanced")]
     buf = io.StringIO()
     write_csv(records, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == list(CSV_COLUMNS)
     assert rows[1][0] == "10"
-    assert float(rows[1][4]) == 1e-15
+    assert float(rows[1][3]) == 0.01 and float(rows[1][4]) == 0.02
+    assert float(rows[1][5]) == 1e-15
 
 
 def test_repetitions_average():

@@ -119,9 +119,10 @@ def test_bench_csv(tmp_path, capsys):
     assert code == 0
     with open(path) as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["n", "weight_type", "method", "cpu_seconds", "err", "verdict"]
+    assert rows[0] == ["n", "weight_type", "method", "wall_seconds", "cpu_seconds", "err",
+                       "verdict"]
     assert len(rows) == 3
-    assert all(r[5] == "balanced" for r in rows[1:])
+    assert all(r[6] == "balanced" for r in rows[1:])
 
 
 def test_bench_stdout(capsys):

@@ -153,6 +153,23 @@ def test_laplacian_cycle_fixture(rng):
     assert np.array_equal(L, expected)
 
 
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_laplacians_match_per_vertex_out_degree(rng, wt):
+    from dqbalance.generate import gen_random_balanced
+    g = gen_random_balanced(9, 0.3, wt, rng)
+    L, M = laplacian(g), weighted_magnitude_laplacian(g)
+    for i in range(1, g.n + 1):
+        assert L[i - 1, i - 1, 0] == M[i - 1, i - 1] == out_degree(g, i)
+    off = ~np.eye(g.n, dtype=bool)
+    expected_L, expected_M = np.zeros((g.n, g.n, 8)), np.zeros((g.n, g.n))
+    for (i, j), w in g.weights.items():
+        expected_L[i - 1, j - 1] = -w.to_array()
+        expected_M[i - 1, j - 1] = -w.s.norm()
+    assert np.array_equal(L[off], expected_L[off])
+    assert np.array_equal(np.diagonal(L)[1:], np.zeros((7, g.n)))
+    assert np.array_equal(M[off], expected_M[off])
+
+
 def test_laplacian_identity_weights_row_sums():
     g = make_cycle3(ONE, ONE, ONE)
     L = laplacian(g)

@@ -5,7 +5,9 @@ from dqbalance import linalg
 from dqbalance.algebra import DualQuaternion, Quaternion
 from dqbalance.linalg import (
     QuatLeastSquares,
+    RANK_TOL,
     ShapeMismatchError,
+    complex_adjoint,
     dq_standard,
     dqinv,
     dqmat_apply,
@@ -196,6 +198,81 @@ def test_rank_unit_diagonal_invariance(rng):
     D[np.arange(4), np.arange(4)] = d
     assert rank(qmat_mul(D, A)) == r0
     assert rank(qmat_mul(A, D)) == r0
+
+
+# ---------------------------------------------------------------------------
+# complex adjoint, with the real expansion as the reference
+# ---------------------------------------------------------------------------
+
+def test_adjoint_scalar_layout():
+    # q = z1 + z2 j with z1 = 1 + 2i, z2 = 3 + 4i
+    A = qm([(1, 2, 3, 4)])
+    assert np.array_equal(complex_adjoint(A), [[1 + 2j, 3 + 4j], [-3 + 4j, 1 - 2j]])
+
+
+def test_adjoint_ring_homomorphism(rng):
+    for _ in range(20):
+        A = random_qmat(rng, 3, 4)
+        B = random_qmat(rng, 4, 2)
+        C = random_qmat(rng, 3, 4)
+        lhs = complex_adjoint(qmat_mul(A, B))
+        rhs = complex_adjoint(A) @ complex_adjoint(B)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * (np.linalg.norm(rhs) + 1.0)
+        assert np.array_equal(complex_adjoint(A + C), complex_adjoint(A) + complex_adjoint(C))
+        assert np.array_equal(complex_adjoint(linalg.qmat_conj_transpose(A)),
+                              complex_adjoint(A).conj().T)
+
+
+def test_adjoint_singular_values_are_the_expansions_twice_over(rng):
+    for m, n in [(1, 1), (4, 3), (3, 5), (6, 6)]:
+        A = random_qmat(rng, m, n)
+        s_real = np.linalg.svd(real_expand(A), compute_uv=False)
+        s_adj = np.linalg.svd(complex_adjoint(A), compute_uv=False)
+        assert np.allclose(np.repeat(s_adj, 2), s_real, rtol=1e-12, atol=1e-12)
+        assert np.allclose(s_adj[0::2], s_adj[1::2], rtol=1e-12, atol=1e-12)
+
+
+def reference_lstsq(A, b, tol=RANK_TOL):
+    """Minimum-norm least squares and real rank from the SVD of the real expansion."""
+    R = real_expand(A)
+    rv = expand_vector(b)
+    if min(R.shape) == 0:
+        return np.zeros((A.shape[1], 4)), float(np.linalg.norm(rv)), 0
+    u, s, vt = np.linalg.svd(R, full_matrices=False)
+    keep = s > tol * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    coeff = u.T @ rv / s
+    residual = float(np.linalg.norm(rv - u @ (coeff * s)))
+    return unexpand_vector(vt.T @ coeff), residual, int(np.count_nonzero(keep))
+
+
+def rank_deficient_qmat(rng, m, n, r):
+    """An m x n quaternion matrix of quaternion rank r (product of m x r and r x n)."""
+    return qmat_mul(random_qmat(rng, m, r), random_qmat(rng, r, n))
+
+
+@pytest.mark.parametrize("m,n,r", [
+    (6, 4, 4),      # overdetermined, full column rank
+    (3, 5, 3),      # underdetermined: minimum-norm solution
+    (5, 5, 3),      # rank-deficient square
+    (7, 4, 2),      # rank-deficient tall
+    (4, 4, 0),      # zero matrix
+    (0, 3, 0),      # no equations
+    (3, 0, 0),      # no unknowns
+])
+def test_least_squares_and_rank_match_real_expansion(rng, m, n, r):
+    A = rank_deficient_qmat(rng, m, n, r) if r else np.zeros((m, n, 4))
+    solver = QuatLeastSquares(A)
+    for b in (rng.normal(size=(m, 4)), qmat_mul(A, rng.normal(size=(n, 1, 4)))[:, 0, :]):
+        x, residual = solver.solve(b)
+        x_ref, residual_ref, real_rank = reference_lstsq(A, b)
+        scale = 1.0 + np.linalg.norm(b)
+        assert x.shape == (n, 4)
+        assert np.abs(x - x_ref).max(initial=0.0) <= 1e-10 * scale
+        assert abs(residual - residual_ref) <= 1e-10 * scale
+        assert solver.rank == real_rank == 4 * r
+        assert solver.full_column_rank == (r == n)
+        assert rank(A) == r
 
 
 # ---------------------------------------------------------------------------
