@@ -221,6 +221,9 @@ class DualQuaternion:
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.s.to_array(), self.d.to_array()])
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.to_array(), dtype=dtype)
+
     @classmethod
     def from_array(cls, a) -> "DualQuaternion":
         a = np.asarray(a, dtype=np.float64)
@@ -233,10 +236,6 @@ class DualQuaternion:
     @classmethod
     def from_real(cls, r: float) -> "DualQuaternion":
         return cls(Quaternion.from_real(r), Q_ZERO)
-
-
-DQ_ZERO = DualQuaternion(Q_ZERO, Q_ZERO)
-DQ_ONE = DualQuaternion(Q_ONE, Q_ZERO)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -264,10 +263,6 @@ class UnitDualQuaternion(DualQuaternion):
 
     def inverse(self) -> "UnitDualQuaternion":
         return self.conjugate()
-
-    @classmethod
-    def wrap(cls, q: DualQuaternion) -> "UnitDualQuaternion":
-        return cls(q.s, q.d)
 
 
 def udq_from_motion(rotation: Quaternion, translation: Quaternion) -> UnitDualQuaternion:

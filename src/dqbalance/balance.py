@@ -27,18 +27,21 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import DualQuaternion
+from .algebra import APPRECIABLE_TOL, DualQuaternion
 from . import linalg
 from .graphs import (
     OrientedCycle,
     WeightedDigraph,
+    arc_positions,
     build,
+    cycle_products,
     enumerate_cycles,
     is_weakly_connected,
     laplacian,
     laplacian_entries,
+    spanning_forest,
+    step_weights,
     unweighted_laplacian,
-    walk_weight,
 )
 
 # Residual threshold below which a similarity / neutrality certificate is
@@ -118,6 +121,10 @@ class PotentialAssignment:
     theta: dict[int, DualQuaternion]
     c: dict[tuple[int, int], float]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The potentials as an (n, 8) array, row v - 1 for vertex v."""
+        return np.array([self.theta[v] for v in sorted(self.theta)], dtype=dtype)
+
 
 @dataclass(frozen=True)
 class StandardSolveResult:
@@ -142,12 +149,12 @@ class DualSolveResult:
 def check_symmetry_pairs(g: WeightedDigraph,
                          tol: float = SYMMETRY_TOL) -> tuple[int, int] | None:
     """First antiparallel pair whose weights are not mutual conjugates, if any."""
-    for (i, j) in g.arcs:
-        if i < j and (j, i) in g.weights:
-            defect = g.weights[(i, j)] - g.weights[(j, i)].conjugate()
-            if linalg.fr_norm(defect.to_array()) > tol:
-                return (i, j)
-    return None
+    tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
+    reverse = arc_positions(g.graph, heads + 1, tails + 1)
+    pairs = np.flatnonzero((tails < heads) & (reverse >= 0))
+    defect = np.linalg.norm(W[pairs] - linalg.dqconj(W[reverse[pairs]]), axis=1)
+    bad = pairs[defect > tol]
+    return g.arcs[bad[0]] if len(bad) else None
 
 
 def solve_standard_part(L: np.ndarray) -> StandardSolveResult:
@@ -256,7 +263,7 @@ def _null_space_pipeline(L_hat: np.ndarray, L_real: np.ndarray,
                              failure_stage=FailureStage.ORTHOGONALITY_CHECK)
     x = linalg.dq_join(std.x, dual.x)
     err = similarity_residual(L_hat, x, L_real)
-    if err > BALANCE_TOL:
+    if not err <= BALANCE_TOL:
         return BalanceReport(Verdict.UNBALANCED, method, err=err,
                              failure_stage=FailureStage.SIMILARITY_CHECK)
     formation = tuple(linalg.dqvec_to_scalars(linalg.dqconj(x)))
@@ -294,13 +301,10 @@ def symmetrized_gain_graph(g: WeightedDigraph) -> WeightedDigraph:
     antiparallel symmetry check has passed; existing reverse arcs keep their
     own weights.
     """
-    unit = g.weight_type.is_unit
-    weights = dict(g.weights)
-    for (i, j) in g.arcs:
-        if (j, i) not in weights:
-            w = g.weights[(i, j)]
-            weights[(j, i)] = w.conjugate() if unit else w.inverse()
-    return build(g.n, tuple(weights.keys()), weights, g.weight_type)
+    lonely = np.flatnonzero(arc_positions(g.graph, g.graph.heads + 1, g.graph.tails + 1) < 0)
+    arcs = g.arcs + tuple((g.arcs[k][1], g.arcs[k][0]) for k in lonely)
+    rows = np.concatenate([g.weight_array, step_weights(g, lonely, np.zeros(lonely.shape, bool))])
+    return build(g.n, arcs, dict(zip(arcs, rows)), g.weight_type)
 
 
 def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
@@ -335,105 +339,85 @@ def cycle_deviation(g: WeightedDigraph, cycle: OrientedCycle) -> float:
     nonnegative real otherwise (so a negative real scores its whole
     magnitude).
     """
-    w = walk_weight(g, cycle)
-    if g.weight_type.is_unit:
-        return linalg.fr_norm((w - DualQuaternion.from_real(1.0)).to_array())
-    pos = max(w.s.w, 0.0)
-    return linalg.fr_norm((w - DualQuaternion.from_real(pos)).to_array())
+    w = cycle_products(g, [cycle])[0]
+    w[0] -= 1.0 if g.weight_type.is_unit else max(w[0], 0.0)
+    return linalg.fr_norm(w)
 
 
 def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport:
     """Brute-force verdict: every simple cycle's oriented product must be neutral.
 
     Unit weight types require the product to equal 1; general weights a
-    positive real dual number.  Returns the first offending cycle as a
-    witness.  If enumeration hits ``max_cycles`` the verdict is
-    indeterminate.
+    positive real dual number, tested as by `is_neutral` once divided by its
+    standard magnitude (a positive real, so the tolerance becomes relative).
+    Returns the first offending cycle as a witness.  If enumeration hits
+    ``max_cycles`` the verdict is indeterminate.
     """
     enum = enumerate_cycles(g.graph, max_cycles)
     if enum.truncated:
         return BalanceReport(Verdict.INDETERMINATE, Method.CYCLE_ORACLE)
-    for cycle in enum.cycles:
-        w = walk_weight(g, cycle)
-        if g.weight_type.is_unit:
-            ok = linalg.fr_norm((w - DualQuaternion.from_real(1.0)).to_array()) <= BALANCE_TOL
-        else:
-            ok = is_neutral(w)
-        if not ok:
-            return BalanceReport(Verdict.UNBALANCED, Method.CYCLE_ORACLE,
-                                 failure_stage=FailureStage.CYCLE_FOUND,
-                                 witness=cycle)
-    theta, _ = _spanning_forest_theta(g)
-    thetas = [theta[v] for v in range(1, g.n + 1)]
+    prod = cycle_products(g, enum.cycles)
     if g.weight_type.is_unit:
-        x = np.array([t.conjugate().to_array() for t in thetas])
-        err = similarity_residual(laplacian(g), x, unweighted_laplacian(g.graph))
-        formation = tuple(thetas)
+        prod[:, 0] -= 1.0
+        off = np.linalg.norm(prod, axis=1) > BALANCE_TOL
     else:
-        pa = PotentialAssignment(theta, _arc_scalars(g, theta))
-        err, _ = wdg_similarity_check(g, pa)
-        formation = tuple(_inverse_potential(thetas))
+        prod /= np.linalg.norm(prod[:, :4], axis=1, keepdims=True)
+        off = ~((prod[:, 0] > 0.0)
+                & (np.linalg.norm(prod[:, 1:4], axis=1) <= BALANCE_TOL)
+                & (np.linalg.norm(prod[:, 4:], axis=1) <= BALANCE_TOL))
+    if np.any(off):
+        return BalanceReport(Verdict.UNBALANCED, Method.CYCLE_ORACLE,
+                             failure_stage=FailureStage.CYCLE_FOUND,
+                             witness=enum.cycles[int(np.argmax(off))])
+    theta, _ = _spanning_forest_theta(g)
+    if g.weight_type.is_unit:
+        err = similarity_residual(laplacian(g), linalg.dqconj(theta),
+                                  unweighted_laplacian(g.graph))
+        formation = theta
+    else:
+        err, _ = wdg_similarity_check(g, theta)
+        formation = _inverse_potential(theta)
     return BalanceReport(Verdict.BALANCED, Method.CYCLE_ORACLE,
-                         formation=formation, err=err)
+                         formation=tuple(linalg.dqvec_to_scalars(formation)), err=err)
 
 
 # ---------------------------------------------------------------------------
 # Potential functions (general weight groups)
 # ---------------------------------------------------------------------------
 
-def _spanning_forest_theta(g: WeightedDigraph):
-    """Vertex potentials propagated over a BFS spanning forest.
+def _spanning_forest_theta(g: WeightedDigraph) -> tuple[np.ndarray, tuple]:
+    """Vertex potentials propagated over the BFS spanning forest (see `spanning_forest`).
 
     Roots get potential 1, children ``theta(parent) * weight`` along forward
-    tree arcs and ``theta(parent) * weight^-1`` along backward ones.  BFS
-    starts at vertex 1 (smallest unvisited vertex per component) and explores
-    incident arcs in ascending (tail, head) order.  Also returns the tree:
-    each non-root vertex mapped to the arc that reached it.
+    tree arcs and ``theta(parent) * weight^-1`` along backward ones, one BFS
+    level at a time.  Returns the potentials (row v - 1 for vertex v) and the forest.
     """
-    unit = g.weight_type.is_unit
-    adj: dict[int, list[tuple[tuple[int, int], int]]] = {v: [] for v in range(1, g.n + 1)}
-    for (i, j) in g.arcs:
-        adj[i].append(((i, j), j))
-        adj[j].append(((i, j), i))
-    for v in adj:
-        adj[v].sort(key=lambda item: item[0])
-    theta: dict[int, DualQuaternion] = {}
-    tree: dict[int, tuple[int, int]] = {}
-    for root in range(1, g.n + 1):
-        if root in theta:
-            continue
-        theta[root] = DualQuaternion.from_real(1.0)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for (arc, u) in adj[v]:
-                if u in theta:
-                    continue
-                w = g.weights[arc]
-                if arc == (v, u):
-                    theta[u] = theta[v] * w
-                else:
-                    theta[u] = theta[v] * (w.conjugate() if unit else w.inverse())
-                tree[u] = arc
-                queue.append(u)
-    return theta, tree
+    parent_arc, depth = forest = spanning_forest(g.graph)
+    child = np.flatnonzero(parent_arc >= 0)
+    tree = parent_arc[child]
+    forward = g.graph.heads[tree] == child
+    parent = np.where(forward, g.graph.tails[tree], g.graph.heads[tree])
+    steps = step_weights(g, tree, forward)
+    theta = np.tile(np.eye(1, 8), (g.n, 1))     # roots keep potential 1
+    for level in range(1, int(depth.max()) + 1):
+        at = depth[child] == level
+        theta[child[at]] = linalg.dqmul(theta[parent[at]], steps[at])
+    return theta, forest
 
 
-def _arc_scalars(g: WeightedDigraph, theta) -> dict[tuple[int, int], float]:
-    """Positive scalars forced by magnitudes: |w_s(i,j)| |theta_s(i)| / |theta_s(j)|."""
-    return {(i, j): g.weights[(i, j)].s.norm() * theta[i].s.norm() / theta[j].s.norm()
-            for (i, j) in g.arcs}
+def _potential_defect(g: WeightedDigraph, theta: np.ndarray) -> tuple[int | None, np.ndarray]:
+    """Index of the first arc whose weight fails to factor through the potential, if any.
 
-
-def _potential_defect(g: WeightedDigraph, theta, c) -> tuple[int, int] | None:
-    """First arc where the weight fails to factor through the potential, if any."""
-    for (i, j) in g.arcs:
-        w = g.weights[(i, j)]
-        predicted = theta[i].inverse() * theta[j] * c[(i, j)]
-        defect = linalg.fr_norm((w - predicted).to_array())
-        if defect > BALANCE_TOL * (1.0 + linalg.fr_norm(w.to_array())):
-            return (i, j)
-    return None
+    Also returns the positive arc scalars forced by magnitudes,
+    ``|w_s(i,j)| |theta_s(i)| / |theta_s(j)|``.
+    """
+    tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
+    size = np.linalg.norm(theta[:, :4], axis=1)
+    c = np.linalg.norm(W[:, :4], axis=1) * size[tails] / size[heads]
+    predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]
+    bad = np.flatnonzero(np.linalg.norm(W - predicted, axis=1)
+                         > BALANCE_TOL * (1.0 + np.linalg.norm(W, axis=1)))
+    return (int(bad[0]) if len(bad) else None), c
 
 
 def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
@@ -444,22 +428,22 @@ def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
     against the factorization with its magnitude-forced scalar.  Absence of a
     potential is equivalent to some cycle being non-neutral.
     """
-    if not is_weakly_connected(g.graph):
+    theta, (parent_arc, _) = _spanning_forest_theta(g)
+    if np.count_nonzero(parent_arc < 0) > 1:    # one root per weak component
         raise NotConnectedError("build_potential requires a weakly connected graph")
-    theta, _ = _spanning_forest_theta(g)
-    c = _arc_scalars(g, theta)
-    if _potential_defect(g, theta, c) is not None:
+    bad, c = _potential_defect(g, theta)
+    if bad is not None:
         return None
-    return PotentialAssignment(theta, c)
+    return PotentialAssignment(dict(enumerate(linalg.dqvec_to_scalars(theta), start=1)),
+                               dict(zip(g.arcs, c.tolist())))
 
 
-def _inverse_potential(thetas) -> list[DualQuaternion]:
-    """Entries ``theta^-1 * |theta_s|`` (unit standard magnitude by construction)."""
-    return [t.inverse() * t.s.norm() for t in thetas]
+def _inverse_potential(theta: np.ndarray) -> np.ndarray:
+    """Rows ``theta^-1 * |theta_s|`` (unit standard magnitude by construction)."""
+    return linalg.dqinv(theta) * np.linalg.norm(theta[:, :4], axis=1, keepdims=True)
 
 
-def wdg_similarity_check(g: WeightedDigraph,
-                         assignment: PotentialAssignment) -> tuple[float, float]:
+def wdg_similarity_check(g: WeightedDigraph, assignment) -> tuple[float, float]:
     """Certify a potential: conjugation onto the magnitude Laplacian and null residual.
 
     Returns ``(err, null_residual)`` where ``err`` is the deviation of
@@ -468,14 +452,15 @@ def wdg_similarity_check(g: WeightedDigraph,
     inverse-potential vector ``y``.  Both are below the balance threshold
     exactly when the assignment is a genuine potential.  Both are evaluated
     on the diagonal and the arcs only, where the Laplacians can be nonzero.
+    ``assignment`` is a `PotentialAssignment` or its potentials as an (n, 8)
+    array, row v - 1 for vertex v: anything that converts to that array.
     """
-    thetas = []
-    for v in range(1, g.n + 1):
-        t = assignment.theta[v]
-        if not t.is_appreciable():
-            raise NonInvertibleThetaError(f"theta({v}) is not appreciable")
-        thetas.append(t)
-    y = np.array([e.to_array() for e in _inverse_potential(thetas)])
+    theta = np.asarray(assignment, dtype=np.float64).reshape(g.n, 8)
+    appreciable = np.linalg.norm(theta[:, :4], axis=1) > APPRECIABLE_TOL
+    if not appreciable.all():
+        raise NonInvertibleThetaError(f"theta({int(np.argmin(appreciable)) + 1}) "
+                                      "is not appreciable")
+    y = _inverse_potential(theta)
     rows, cols, L_hat, magnitudes = laplacian_entries(g)
     err = _conjugation_residual(rows, cols, L_hat, magnitudes, linalg.dqinv(y), y)
     L_hat_y = np.zeros_like(y)
@@ -490,68 +475,49 @@ def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
     cycle with its tree path, which is returned as the witness.  On success
     the similarity certificate provides the residual.
     """
-    if not is_weakly_connected(g.graph):
+    theta, forest = _spanning_forest_theta(g)
+    if np.count_nonzero(forest[0] < 0) > 1:     # one root per weak component
         raise NotConnectedError("wdg_similarity_method requires a weakly connected graph")
-    theta, tree = _spanning_forest_theta(g)
-    c = _arc_scalars(g, theta)
-    bad = _potential_defect(g, theta, c)
+    bad, _ = _potential_defect(g, theta)
     if bad is not None:
-        witness = _closing_cycle(tree, bad)
         return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY,
                              failure_stage=FailureStage.CYCLE_FOUND,
-                             witness=witness)
-    pa = PotentialAssignment(theta, c)
-    err, null_residual = wdg_similarity_check(g, pa)
-    if max(err, null_residual) > BALANCE_TOL:
+                             witness=_closing_cycle(g, *forest, bad))
+    err, null_residual = wdg_similarity_check(g, theta)
+    if not (err <= BALANCE_TOL and null_residual <= BALANCE_TOL):
         return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY, err=err,
                              failure_stage=FailureStage.SIMILARITY_CHECK)
-    thetas = [theta[v] for v in range(1, g.n + 1)]
+    formation = linalg.dqvec_to_scalars(_inverse_potential(theta))
     return BalanceReport(Verdict.BALANCED, Method.WDG_SIMILARITY,
-                         formation=tuple(_inverse_potential(thetas)), err=err)
+                         formation=tuple(formation), err=err)
 
 
-def _closing_cycle(tree: dict[int, tuple[int, int]],
-                   arc: tuple[int, int]) -> OrientedCycle | None:
-    """The simple cycle formed by an arc plus the tree path between its ends.
+def _closing_cycle(g: WeightedDigraph, parent_arc: np.ndarray, depth: np.ndarray,
+                   k: int) -> OrientedCycle:
+    """The simple cycle formed by arc ``k`` plus its ends' path in the `spanning_forest`.
 
     Each tree step runs along the arc the spanning tree used, so the cycle's
     product is the one the potential was propagated over, also between two
     vertices joined by arcs both ways.
     """
-    def parent(vert):
-        tail, head = tree[vert]
-        return tail if head == vert else head
-
-    u, v = arc
-    up_u = [u]
-    while up_u[-1] in tree:
-        up_u.append(parent(up_u[-1]))
-    index_u = {vert: k for k, vert in enumerate(up_u)}
-    up_v = [v]
-    while up_v[-1] not in index_u:
-        if up_v[-1] not in tree:
-            return None  # different BFS components; no closing cycle
-        up_v.append(parent(up_v[-1]))
-    meet = up_v[-1]
+    u, v = g.arcs[k]
+    up_u, up_v = [u], [v]     # both ends climb to their lowest common ancestor
+    while up_u[-1] != up_v[-1]:
+        deeper = up_u if depth[up_u[-1] - 1] >= depth[up_v[-1] - 1] else up_v
+        tail, head = g.arcs[parent_arc[deeper[-1] - 1]]
+        deeper.append(tail if head == deeper[-1] else head)
     # u -> v along the arc, v up to the meeting vertex, then down to u.
-    meet_to_u = list(reversed(up_u[:index_u[meet] + 1]))  # [meet, ..., u]
-    vertices = [u] + up_v[:-1] + meet_to_u[:-1]
-    forward = [True]
-    for a, b in zip(vertices[1:], vertices[2:] + [u]):
-        # The tree arc between a and b is the one that reached the child.
-        tree_arc = tree[a] if a in tree and b in tree[a] else tree[b]
-        forward.append(tree_arc == (a, b))
+    vertices = [u] + up_v[:-1] + up_u[:0:-1]
+    forward = ([True] + [g.arcs[parent_arc[x - 1]][0] == x for x in up_v[:-1]]
+               + [g.arcs[parent_arc[x - 1]][1] == x for x in up_u[-2::-1]])
     return OrientedCycle(tuple(vertices), tuple(forward))
 
 
 def relative_configuration_residual(g: WeightedDigraph, formation) -> float:
     """Worst-arc deviation of ``weight(i,j)`` from ``conj(f_i) * f_j``."""
-    worst = 0.0
-    for (i, j) in g.arcs:
-        predicted = formation[i - 1].conjugate() * formation[j - 1]
-        defect = linalg.fr_norm((g.weights[(i, j)] - predicted).to_array())
-        worst = max(worst, defect)
-    return worst
+    f = np.array(formation, dtype=np.float64).reshape(g.n, 8)
+    predicted = linalg.dqmul(linalg.dqconj(f[g.graph.tails]), f[g.graph.heads])
+    return float(np.max(np.linalg.norm(g.weight_array - predicted, axis=1), initial=0.0))
 
 
 def check_balance(g: WeightedDigraph, method: Method | str) -> BalanceReport:

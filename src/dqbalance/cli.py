@@ -203,9 +203,10 @@ def _cmd_verify_potential(args) -> int:
         print("no potential function exists: graph is unbalanced")
         return 1
     err, null_residual = wdg_similarity_check(g, assignment)
+    balanced = err <= BALANCE_TOL and null_residual <= BALANCE_TOL
     if args.json:
         print(json.dumps({
-            "balanced": bool(max(err, null_residual) <= BALANCE_TOL),
+            "balanced": balanced,
             "err": err,
             "null_residual": null_residual,
             "theta": {str(v): list(t.to_array()) for v, t in sorted(assignment.theta.items())},
@@ -213,7 +214,7 @@ def _cmd_verify_potential(args) -> int:
         }, indent=2))
     else:
         print(f"potential found  err={err:.3e}  null_residual={null_residual:.3e}")
-    return 0 if max(err, null_residual) <= BALANCE_TOL else 1
+    return 0 if balanced else 1
 
 
 def main(argv=None) -> int:

@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import DualQuaternion, Quaternion, random_udq, udq_from_motion
+from .algebra import DualQuaternion, Quaternion, _as_rng, random_udq, udq_from_motion
 from .balance import is_neutral
 from .graphs import (
-    ArcNotFoundError,
     WeightedDigraph,
     WeightType,
     build,
     enumerate_cycles,
 )
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def random_unit_dual_complex(rng: np.random.Generator) -> DualQuaternion:
@@ -121,10 +114,14 @@ def gen_random_balanced(n: int, arc_density: float,
             arcs.add((v, p))
         else:
             arcs.add((p, v))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (i, j) not in arcs and rng.random() < arc_density:
-                arcs.add((i, j))
+    # One draw per pair that is neither a loop nor a tree arc, in row-major
+    # order: the same stream as drawing pair by pair.  A row at a time keeps
+    # the draws' memory O(n).
+    taken = np.eye(n, dtype=bool)
+    taken[[i - 1 for i, _ in arcs], [j - 1 for _, j in arcs]] = True
+    for i in range(n):
+        free = np.flatnonzero(~taken[i])
+        arcs.update((i + 1, j + 1) for j in free[rng.random(free.size) < arc_density].tolist())
     unit = weight_type.is_unit
     theta = random_vertex_potential(n, weight_type, rng)
     weights = {}
@@ -146,10 +143,8 @@ def perturb(g: WeightedDigraph, arc: tuple[int, int], seed) -> WeightedDigraph:
     than a positive-real factor, so perturbing an arc that lies on a cycle
     is guaranteed to break balance.
     """
-    if arc not in g.weights:
-        raise ArcNotFoundError(arc)
     rng = _as_rng(seed)
-    old = g.weights[arc]
+    old = g.weight(*arc)
     while True:
         new = random_weight(g.weight_type, rng)
         ratio = new * old.inverse()

@@ -2,13 +2,15 @@
 
 Vertices are 1-based (1..n).  An arc ``(i, j)`` points from tail ``i`` to
 head ``j``; loops and duplicate arcs are rejected, antiparallel pairs are
-allowed.  Graphs are immutable after construction and every query here is a
-pure function, so concurrent reads are safe.
+allowed.  Weights are held as one read-only (m, 8) array in arc order.
+Graphs are immutable after construction and every query here is a pure
+function, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -16,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
+from . import linalg
 from .algebra import APPRECIABLE_TOL, UNIT_TOL, DualQuaternion
 
 # Components that must vanish for a weight to live on the declared axis
@@ -41,6 +44,10 @@ class NonAppreciableWeightError(ValueError):
 
 class WeightTypeMismatchError(ValueError):
     """A weight does not lie in the declared scalar subring."""
+
+
+class NonFiniteWeightError(ValueError):
+    """A weight has an infinite or NaN component, or an infinite magnitude."""
 
 
 class InvalidWalkError(ValueError):
@@ -75,10 +82,15 @@ class WeightType(str, Enum):
 
 @dataclass(frozen=True)
 class Digraph:
-    """A loopless simple directed graph on vertices 1..n."""
+    """A loopless simple directed graph on vertices 1..n; ``arcs`` are sorted,
+    ``tails``/``heads`` are read-only arrays of their 0-based ends and
+    ``arc_keys`` of their increasing keys ``n * tail + head``, then ``n * n``."""
 
     n: int
     arcs: tuple[tuple[int, int], ...]
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    arc_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,48 +104,88 @@ class Digraph:
             if (i, j) in seen:
                 raise DuplicateArcError(f"duplicate arc ({i}, {j})")
             seen.add((i, j))
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-
-    def out_arcs(self, i: int) -> list[tuple[int, int]]:
-        return [a for a in self.arcs if a[0] == i]
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in set(self.arcs)
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(1, self.n + 1))
-        g.add_edges_from(self.arcs)
-        return g
+        arcs = tuple(sorted(self.arcs))
+        ends = np.array(arcs, dtype=np.intp).reshape(len(arcs), 2) - 1
+        keys = np.append(ends @ (self.n, 1), self.n * self.n)
+        ends.setflags(write=False)
+        keys.setflags(write=False)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "tails", ends[:, 0])
+        object.__setattr__(self, "heads", ends[:, 1])
+        object.__setattr__(self, "arc_keys", keys)
 
 
-def _validate_weight(w: DualQuaternion, weight_type: WeightType) -> None:
-    if weight_type.is_unit and not w.is_unit(UNIT_TOL):
-        a, b = w.unit_defect()
-        raise NonUnitWeightError(
-            f"weight fails unit validation (defects {a:.3g}, {b:.3g})")
-    if not w.is_appreciable(APPRECIABLE_TOL):
-        raise NonAppreciableWeightError("weight has no appreciable part")
+def arc_positions(g: Digraph, tails, heads) -> np.ndarray:
+    """Index in ``g.arcs`` of each arc ``(tails[k], heads[k])`` (1-based), or -1 if absent.
+
+    One binary search in ``g.arc_keys``.
+    """
+    t, h = np.asarray(tails, dtype=np.intp) - 1, np.asarray(heads, dtype=np.intp) - 1
+    in_range = (t >= 0) & (t < g.n) & (h >= 0) & (h < g.n)
+    key = np.where(in_range, t * g.n + h, g.n * g.n)    # out of range: the sentinel
+    pos = np.searchsorted(g.arc_keys, key)
+    return np.where(in_range & (g.arc_keys[pos] == key), pos, -1)
+
+
+def _check_weights(arcs, W: np.ndarray, weight_type: WeightType) -> None:
+    """Raise, naming the arc, for the first arc whose weight fails a check (in listed order)."""
+    s, d = W[:, :4], W[:, 4:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.linalg.norm(s, axis=1)
+        defect = np.abs(mag - 1.0), np.abs(2.0 * np.sum(s * d, axis=1))
+    checks = [(np.isfinite(W).all(axis=1) & np.isfinite(mag),
+               NonFiniteWeightError, "weight is not finite")]
+    if weight_type.is_unit:
+        checks.append(((defect[0] <= UNIT_TOL) & (defect[1] <= UNIT_TOL), NonUnitWeightError,
+                       "weight fails unit validation (defects {0:.3g}, {1:.3g})"))
+    checks.append((mag > APPRECIABLE_TOL, NonAppreciableWeightError,
+                   "weight has no appreciable part"))
     if weight_type.complex_embedded:
-        off = (abs(w.s.y), abs(w.s.z), abs(w.d.y), abs(w.d.z))
-        if max(off) > EMBED_TOL:
-            raise WeightTypeMismatchError("weight is not complex-embedded")
+        checks.append((np.abs(W[:, [2, 3, 6, 7]]).max(axis=1) <= EMBED_TOL,
+                       WeightTypeMismatchError, "weight is not complex-embedded"))
     if weight_type is WeightType.REAL:
-        off = (abs(w.s.x), abs(w.s.y), abs(w.s.z))
-        if max(off) > EMBED_TOL:
-            raise WeightTypeMismatchError("weight is not real")
-    if weight_type.dualfree and w.d.norm() > EMBED_TOL:
-        raise WeightTypeMismatchError(
-            f"{weight_type.value} weights carry no dual part")
+        checks.append((np.abs(s[:, 1:]).max(axis=1) <= EMBED_TOL,
+                       WeightTypeMismatchError, "weight is not real"))
+    if weight_type.dualfree:
+        checks.append((np.linalg.norm(d, axis=1) <= EMBED_TOL, WeightTypeMismatchError,
+                       f"{weight_type.value} weights carry no dual part"))
+    valid = np.logical_and.reduce([ok for ok, _, _ in checks])
+    if not valid.all():
+        k = int(np.argmin(valid))
+        error, message = next((error, message) for ok, error, message in checks if not ok[k])
+        raise error(f"arc {arcs[k]}: " + message.format(defect[0][k], defect[1][k]))
 
 
-@dataclass(frozen=True)
+class WeightView(Mapping):
+    """Read-only ``arc -> DualQuaternion`` view of a weight array; each lookup builds one."""
+
+    def __init__(self, graph: Digraph, array: np.ndarray):
+        self._graph, self._array = graph, array
+
+    def __getitem__(self, arc) -> DualQuaternion:
+        k = int(arc_positions(self._graph, *arc))
+        if k < 0:
+            raise ArcNotFoundError(arc)
+        return DualQuaternion.from_array(self._array[k])
+
+    def __iter__(self):
+        return iter(self._graph.arcs)
+
+    def __len__(self) -> int:
+        return len(self._graph.arcs)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """A digraph together with a weight on every arc."""
+    """A digraph together with a weight on every arc.
+
+    Row k of the read-only (m, 8) ``weight_array`` is the weight of
+    ``arcs[k]``, standard part then dual part.
+    """
 
     graph: Digraph
     weight_type: WeightType
-    weights: Mapping[tuple[int, int], DualQuaternion]
+    weight_array: np.ndarray
 
     @property
     def n(self) -> int:
@@ -143,47 +195,70 @@ class WeightedDigraph:
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return self.graph.arcs
 
+    @property
+    def weights(self) -> WeightView:
+        """The weights as a read-only mapping from arc to `DualQuaternion`."""
+        return WeightView(self.graph, self.weight_array)
+
     def weight(self, i: int, j: int) -> DualQuaternion:
-        try:
-            return self.weights[(i, j)]
-        except KeyError:
-            raise ArcNotFoundError((i, j)) from None
+        return self.weights[(i, j)]
 
     def with_weight(self, arc: tuple[int, int], w: DualQuaternion) -> "WeightedDigraph":
         """Copy of the graph with one arc's weight replaced."""
         if arc not in self.weights:
             raise ArcNotFoundError(arc)
-        new = dict(self.weights)
-        new[arc] = w
-        return build(self.n, self.graph.arcs, new, self.weight_type)
+        return build(self.n, self.arcs, {**dict(zip(self.arcs, self.weight_array)), arc: w},
+                     self.weight_type)
 
 
 def build(n: int,
           arcs: Iterable[tuple[int, int]],
           weights: Mapping[tuple[int, int], DualQuaternion],
           weight_type: WeightType | str) -> WeightedDigraph:
-    """Validated weighted digraph from arcs and an arc->weight mapping."""
+    """Validated weighted digraph from arcs and an arc -> weight (`DualQuaternion`
+    or eight floats, standard then dual part) mapping."""
     weight_type = WeightType(weight_type)
     graph = Digraph(n, tuple(arcs))
     missing = [a for a in graph.arcs if a not in weights]
     if missing:
         raise ValueError(f"missing weights for arcs {missing}")
-    for arc in graph.arcs:
-        try:
-            _validate_weight(weights[arc], weight_type)
-        except ValueError as exc:
-            raise type(exc)(f"arc {arc}: {exc}") from None
-    return WeightedDigraph(graph, weight_type,
-                           {a: weights[a] for a in graph.arcs})
+    W = np.array([weights[a] for a in graph.arcs], dtype=np.float64).reshape(len(graph.arcs), 8)
+    _check_weights(graph.arcs, W, weight_type)
+    W.setflags(write=False)
+    return WeightedDigraph(graph, weight_type, W)
 
 
 # ---------------------------------------------------------------------------
 # Connectivity
 # ---------------------------------------------------------------------------
 
+def spanning_forest(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first spanning forest of the underlying undirected graph.
+
+    Roots ascend and every vertex explores its arcs in (tail, head) order.
+    Returns, per 0-based vertex, the arc that reached it (-1: root) and its depth.
+    """
+    adjacent = [[] for _ in range(g.n)]
+    for k, (i, j) in enumerate(g.arcs):     # sorted arcs: every list ascends
+        adjacent[i - 1].append((j - 1, k))
+        adjacent[j - 1].append((i - 1, k))
+    parent_arc, depth = [-1] * g.n, [-1] * g.n
+    for root in range(g.n):
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = deque([root])
+            while queue:
+                v = queue.popleft()
+                for u, k in adjacent[v]:
+                    if depth[u] < 0:
+                        depth[u], parent_arc[u] = depth[v] + 1, k
+                        queue.append(u)
+    return np.array(parent_arc, dtype=np.intp), np.array(depth, dtype=np.intp)
+
+
 def is_weakly_connected(g: Digraph) -> bool:
     """True iff the underlying undirected graph is connected."""
-    return nx.is_weakly_connected(g.to_networkx())
+    return int(np.count_nonzero(spanning_forest(g)[0] < 0)) == 1
 
 
 def has_directed_spanning_tree(g: Digraph) -> bool:
@@ -192,7 +267,9 @@ def has_directed_spanning_tree(g: Digraph) -> bool:
     Equivalent to the condensation of the digraph having exactly one sink
     component.
     """
-    cond = nx.condensation(g.to_networkx())
+    digraph = nx.DiGraph(g.arcs)
+    digraph.add_nodes_from(range(1, g.n + 1))
+    cond = nx.condensation(digraph)
     sinks = [c for c in cond.nodes if cond.out_degree(c) == 0]
     return len(sinks) == 1
 
@@ -209,10 +286,7 @@ def out_degree(g: WeightedDigraph, i: int) -> float:
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    arcs_out = g.graph.out_arcs(i)
-    if g.weight_type.is_unit:
-        return float(len(arcs_out))
-    return float(sum(g.weights[a].s.norm() for a in arcs_out))
+    return float(laplacian_entries(g)[3][i - 1])
 
 
 def laplacian_entries(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray,
@@ -223,26 +297,16 @@ def laplacian_entries(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray,
     first and then one entry per arc in arc order, with the dual quaternion
     values ``L`` (shape (n + m, 8)) of the weighted Laplacian and the real
     values ``M`` (shape (n + m,)) of the magnitude Laplacian there.  Every
-    other entry of both matrices is zero.  One pass over the arcs adds each
-    out-degree (see `out_degree`) as it goes.
+    other entry of both matrices is zero.  The diagonal holds the
+    out-degrees (see `out_degree`), summed in arc order.
     """
-    n, m = g.n, len(g.arcs)
-    unit = g.weight_type.is_unit
-    rows = np.empty(n + m, dtype=np.intp)
-    cols = np.empty(n + m, dtype=np.intp)
-    rows[:n] = cols[:n] = np.arange(n)
-    L = np.zeros((n + m, 8))
-    M = np.zeros(n + m)
-    for k, (i, j) in enumerate(g.arcs, start=n):
-        w = g.weights[(i, j)]
-        mag = w.s.norm()
-        rows[k], cols[k] = i - 1, j - 1
-        L[k] = -w.to_array()
-        M[k] = -mag
-        degree = 1.0 if unit else mag
-        L[i - 1, 0] += degree
-        M[i - 1] += degree
-    return rows, cols, L, M
+    n, tails = g.n, g.graph.tails
+    mag = np.linalg.norm(g.weight_array[:, :4], axis=1)
+    degree = np.bincount(tails, weights=None if g.weight_type.is_unit else mag, minlength=n)
+    rows = np.concatenate([np.arange(n), tails])
+    cols = np.concatenate([np.arange(n), g.graph.heads])
+    L = np.concatenate([degree[:, None] * np.eye(1, 8), -g.weight_array])
+    return rows, cols, L, np.concatenate([degree, -mag])
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -266,11 +330,9 @@ def weighted_magnitude_laplacian(g: WeightedDigraph) -> np.ndarray:
 
 def unweighted_laplacian(g: Digraph) -> np.ndarray:
     """Real Laplacian D - A of the bare digraph (0/1 adjacency, out-degrees)."""
-    n = g.n
-    L = np.zeros((n, n))
-    for (i, j) in g.arcs:
-        L[i - 1, i - 1] += 1.0
-        L[i - 1, j - 1] -= 1.0
+    L = np.zeros((g.n, g.n))
+    L[g.tails, g.heads] = -1.0
+    L[np.diag_indices(g.n)] = np.bincount(g.tails, minlength=g.n)
     return L
 
 
@@ -302,14 +364,10 @@ class OrientedCycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def steps(self) -> list[tuple[int, int, bool]]:
-        k = len(self.vertices)
-        return [(self.vertices[t], self.vertices[(t + 1) % k], self.forward[t])
-                for t in range(k)]
-
     def arcs(self) -> list[tuple[int, int]]:
         """The arcs of the graph used by the cycle (in step order)."""
-        return [(a, b) if fwd else (b, a) for a, b, fwd in self.steps()]
+        v = self.vertices
+        return [(a, b) if fwd else (b, a) for a, b, fwd in zip(v, v[1:] + v[:1], self.forward)]
 
 
 @dataclass(frozen=True)
@@ -318,31 +376,30 @@ class CycleEnumeration:
     truncated: bool = False
 
 
-class CycleLimitExceededError(RuntimeError):
-    """More simple cycles than the configured limit."""
-
-
 def orient_cycle(vertices: Sequence[int], g: Digraph) -> OrientedCycle:
     """Cycle over a vertex sequence with inferred step directions.
 
     Each step must correspond to an arc in some direction; when both
     directions exist the forward arc is preferred.
     """
-    return OrientedCycle(tuple(vertices), _orient(vertices, set(g.arcs)))
+    vertices = tuple(vertices)
+    return OrientedCycle(vertices, tuple(_directions(g, *_cycle_steps([vertices])).tolist()))
 
 
-def _orient(vertices: Sequence[int], arcset: set) -> tuple[bool, ...]:
-    flags = []
-    k = len(vertices)
-    for t in range(k):
-        a, b = vertices[t], vertices[(t + 1) % k]
-        if (a, b) in arcset:
-            flags.append(True)
-        elif (b, a) in arcset:
-            flags.append(False)
-        else:
-            raise InvalidWalkError(f"no arc between {a} and {b}")
-    return tuple(flags)
+def _cycle_steps(cycles: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end vertices of the steps of closed walks, walk after walk."""
+    a = np.array([v for vs in cycles for v in vs], dtype=np.intp)
+    return a, np.array([v for vs in cycles for v in vs[1:] + vs[:1]], dtype=np.intp)
+
+
+def _directions(g: Digraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each step ``a[t] -> b[t]`` follows an arc (preferred) or runs against one."""
+    forward = arc_positions(g, a, b) >= 0
+    missing = ~forward & (arc_positions(g, b, a) < 0)
+    if np.any(missing):
+        t = int(np.argmax(missing))
+        raise InvalidWalkError(f"no arc between {a[t]} and {b[t]}")
+    return forward
 
 
 def _canonical_vertices(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -365,17 +422,52 @@ def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     """
     mg = nx.MultiGraph()
     mg.add_nodes_from(range(1, g.n + 1))
-    for (i, j) in g.arcs:
-        mg.add_edge(i, j, key=(i, j))
-    arcset = set(g.arcs)
+    mg.add_edges_from(g.arcs)
     raw = list(islice(nx.simple_cycles(mg), max_cycles + 1))
-    truncated = len(raw) > max_cycles
-    cycles = []
-    for nodes in raw[:max_cycles]:
-        verts = _canonical_vertices(list(nodes))
-        cycles.append(OrientedCycle(verts, _orient(verts, arcset)))
-    cycles.sort(key=lambda c: (len(c), c.vertices))
-    return CycleEnumeration(tuple(cycles), truncated)
+    vertices = [_canonical_vertices(list(nodes)) for nodes in raw[:max_cycles]]
+    flags = iter(_directions(g, *_cycle_steps(vertices)).tolist())
+    cycles = sorted((OrientedCycle(v, tuple(islice(flags, len(v)))) for v in vertices),
+                    key=lambda c: (len(c), c.vertices))
+    return CycleEnumeration(tuple(cycles), len(raw) > max_cycles)
+
+
+def step_weights(g: WeightedDigraph, pos, forward) -> np.ndarray:
+    """Shadow elements of steps over the arcs ``pos``: the weight where ``forward``,
+    else its inverse (the conjugate for unit weight types).  Shape (len(pos), 8).
+    """
+    steps = g.weight_array[pos]
+    back = ~np.asarray(forward, dtype=bool)
+    steps[back] = (linalg.dqconj if g.weight_type.is_unit else linalg.dqinv)(steps[back])
+    return steps
+
+
+def _oriented_products(g: WeightedDigraph, a, b, forward, lengths) -> np.ndarray:
+    """Left-to-right shadow-element products of walks, shape (len(lengths), 8).
+
+    Steps ``a[t] -> b[t]`` (1-based), following their arc where ``forward[t]``,
+    are listed walk after walk, ``lengths[r]`` of them for walk r.
+    """
+    tails, heads = np.where(forward, a, b), np.where(forward, b, a)
+    pos = arc_positions(g.graph, tails, heads)
+    if np.any(pos < 0):
+        t = int(np.argmin(pos))
+        raise InvalidWalkError(f"flagged arc {(int(tails[t]), int(heads[t]))} "
+                               "is not in the graph")
+    steps = step_weights(g, pos, forward)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    prod = np.tile(np.eye(1, 8), (len(lengths), 1))     # each walk starts at 1
+    for t in range(int(lengths.max(initial=0))):
+        walks = np.flatnonzero(lengths > t)
+        prod[walks] = linalg.dqmul(prod[walks], steps[starts[walks] + t])
+    return prod
+
+
+def cycle_products(g: WeightedDigraph, cycles: Sequence[OrientedCycle]) -> np.ndarray:
+    """`walk_weight` of every cycle at once, shape (len(cycles), 8)."""
+    a, b = _cycle_steps([c.vertices for c in cycles])
+    forward = np.array([f for c in cycles for f in c.forward], dtype=bool)
+    return _oriented_products(g, a, b, forward, [len(c) for c in cycles])
 
 
 def walk_weight(g: WeightedDigraph, walk) -> DualQuaternion:
@@ -387,28 +479,10 @@ def walk_weight(g: WeightedDigraph, walk) -> DualQuaternion:
     preferring the forward arc.
     """
     if isinstance(walk, OrientedCycle):
-        steps = walk.steps()
-    else:
-        verts = list(walk)
-        if len(verts) < 2:
-            raise InvalidWalkError("a walk needs at least two vertices")
-        arcset = set(g.arcs)
-        steps = []
-        for a, b in zip(verts, verts[1:]):
-            if (a, b) in arcset:
-                steps.append((a, b, True))
-            elif (b, a) in arcset:
-                steps.append((a, b, False))
-            else:
-                raise InvalidWalkError(f"no arc between {a} and {b}")
-    prod = DualQuaternion.from_real(1.0)
-    unit = g.weight_type.is_unit
-    for a, b, fwd in steps:
-        arc = (a, b) if fwd else (b, a)
-        if arc not in g.weights:
-            raise InvalidWalkError(f"flagged arc {arc} is not in the graph")
-        w = g.weights[arc]
-        if not fwd:
-            w = w.conjugate() if unit else w.inverse()
-        prod = prod * w
-    return prod
+        return DualQuaternion.from_array(cycle_products(g, [walk])[0])
+    verts = np.asarray(list(walk), dtype=np.intp)
+    if len(verts) < 2:
+        raise InvalidWalkError("a walk needs at least two vertices")
+    a, b = verts[:-1], verts[1:]
+    forward = _directions(g.graph, a, b)
+    return DualQuaternion.from_array(_oriented_products(g, a, b, forward, [len(a)])[0])

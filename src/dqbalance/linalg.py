@@ -113,11 +113,6 @@ def qmat_eye(n: int) -> np.ndarray:
     return out
 
 
-def qmat_from_scalars(entries) -> np.ndarray:
-    """Build a (m, n, 4) array from nested lists of Quaternion values."""
-    return np.array([[q.to_array() for q in row] for row in entries])
-
-
 # ---------------------------------------------------------------------------
 # Real expansion
 # ---------------------------------------------------------------------------
@@ -354,10 +349,6 @@ def dqmat_from_scalars(entries) -> np.ndarray:
     return np.array([[q.to_array() for q in row] for row in entries])
 
 
-def dqvec_from_scalars(entries) -> np.ndarray:
-    return np.array([q.to_array() for q in entries])
-
-
 def dqvec_to_scalars(v: np.ndarray) -> list[DualQuaternion]:
     return [DualQuaternion.from_array(row) for row in np.asarray(v, dtype=np.float64)]
 
@@ -370,10 +361,9 @@ def fr_norm(M: np.ndarray) -> float:
 __all__ = [
     "RANK_TOL", "SOLVE_TOL", "ShapeMismatchError",
     "qconj", "qmul", "qmat_mul", "qmat_conj_transpose", "qmat_eye",
-    "qmat_from_scalars", "real_expand", "expand_vector", "unexpand_vector",
-    "complex_adjoint",
+    "real_expand", "expand_vector", "unexpand_vector", "complex_adjoint",
     "QuatLeastSquares", "solve_least_squares", "is_consistent", "rank",
     "dq_standard", "dq_dual", "dq_join", "dqconj", "dqmul", "dqinv",
     "dqmat_mul", "dqmat_conj_transpose", "dqmat_apply", "dqmat_eye",
-    "dqmat_from_scalars", "dqvec_from_scalars", "dqvec_to_scalars", "fr_norm",
+    "dqmat_from_scalars", "dqvec_to_scalars", "fr_norm",
 ]

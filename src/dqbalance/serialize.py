@@ -18,9 +18,9 @@ round-trip bit-exactly through ``json``.
 from __future__ import annotations
 
 import json
-from typing import IO
 
-from .algebra import DualQuaternion, Quaternion
+import numpy as np
+
 from .balance import BalanceReport
 from .graphs import OrientedCycle, WeightedDigraph, build
 
@@ -29,25 +29,12 @@ class GraphFormatError(ValueError):
     """The JSON document does not describe a valid weighted digraph."""
 
 
-def weight_to_obj(w: DualQuaternion) -> dict:
-    return {"s": [w.s.w, w.s.x, w.s.y, w.s.z],
-            "d": [w.d.w, w.d.x, w.d.y, w.d.z]}
-
-
-def weight_from_obj(obj) -> DualQuaternion:
-    s = [float(v) for v in obj["s"]]
-    d = [float(v) for v in obj["d"]]
-    if len(s) != 4 or len(d) != 4:
-        raise GraphFormatError("weight parts must have four components each")
-    return DualQuaternion(Quaternion(*s), Quaternion(*d))
-
-
 def graph_to_obj(g: WeightedDigraph) -> dict:
     return {
         "n": g.n,
         "weight_type": g.weight_type.value,
-        "arcs": [{"tail": i, "head": j, "w": weight_to_obj(g.weights[(i, j)])}
-                 for (i, j) in g.arcs],
+        "arcs": [{"tail": i, "head": j, "w": {"s": row[:4], "d": row[4:]}}
+                 for (i, j), row in zip(g.arcs, g.weight_array.tolist())],
     }
 
 
@@ -55,15 +42,14 @@ def graph_from_obj(obj) -> WeightedDigraph:
     try:
         n = int(obj["n"])
         weight_type = obj["weight_type"]
-        arcs = []
-        weights = {}
-        for entry in obj["arcs"]:
-            arc = (int(entry["tail"]), int(entry["head"]))
-            arcs.append(arc)
-            weights[arc] = weight_from_obj(entry["w"])
-    except (KeyError, TypeError) as exc:
+        arcs = [(int(entry["tail"]), int(entry["head"])) for entry in obj["arcs"]]
+        rows = np.array([(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]],
+                        dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc!r}") from None
-    return build(n, arcs, weights, weight_type)
+    if arcs and rows.shape[1:] != (2, 4):
+        raise GraphFormatError("weight parts must have four components each")
+    return build(n, arcs, dict(zip(arcs, rows.reshape(len(arcs), 8))), weight_type)
 
 
 def dumps_graph(g: WeightedDigraph, indent: int | None = 2) -> str:
@@ -106,11 +92,3 @@ def report_to_obj(report: BalanceReport) -> dict:
         "witness": cycle_to_obj(report.witness) if report.witness else None,
         "seconds": report.seconds,
     }
-
-
-def dump_report(report: BalanceReport, stream: IO[str] | None = None,
-                indent: int | None = 2) -> str:
-    text = json.dumps(report_to_obj(report), indent=indent)
-    if stream is not None:
-        stream.write(text + "\n")
-    return text

@@ -44,3 +44,10 @@ def cycles_equivalent(c1, c2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def balanced_and_perturbed(weight_type, rng, n=7, density=0.35):
+    """A random balanced graph with antiparallel pairs, and three copies with one arc redrawn."""
+    from dqbalance.generate import gen_random_balanced, perturb
+    g = gen_random_balanced(n, density, weight_type, rng)
+    return [g] + [perturb(g, arc, rng) for arc in g.arcs[:3]]

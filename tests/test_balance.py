@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqbalance import linalg
+from dqbalance import balance, linalg
 from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
 from dqbalance.balance import (
     BALANCE_TOL,
@@ -13,6 +13,8 @@ from dqbalance.balance import (
     PotentialAssignment,
     Verdict,
     _null_space_pipeline,
+    _potential_defect,
+    _spanning_forest_theta,
     build_potential,
     check_balance,
     check_symmetry_pairs,
@@ -38,6 +40,7 @@ from dqbalance.generate import (
     random_switching,
 )
 from dqbalance.graphs import (
+    WeightedDigraph,
     WeightType,
     build,
     laplacian,
@@ -46,7 +49,16 @@ from dqbalance.graphs import (
     weighted_magnitude_laplacian,
 )
 
-from conftest import I, J, K, ONE, balanced_cycle3, make_cycle3, make_tree
+from conftest import (
+    I,
+    J,
+    K,
+    ONE,
+    balanced_and_perturbed,
+    balanced_cycle3,
+    make_cycle3,
+    make_tree,
+)
 
 
 def dq(w, x, y, z, dw=0.0, dx=0.0, dy=0.0, dz=0.0):
@@ -498,6 +510,29 @@ def test_wdg_witness_follows_the_tree_arc_of_an_antiparallel_pair():
     assert cycle_deviation(g, report.witness) > 0.1
 
 
+def test_wdg_witness_closes_at_the_tail_of_the_bad_arc():
+    # The tree reaches 3 by (1, 3) and 2 by (2, 3), so the tail 3 of the bad
+    # arc (3, 2) is the parent of its head: the cycle is 3 -> 2 -> 3, each
+    # vertex once.
+    i = DualQuaternion(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 0, 0))
+    g = build(3, [(1, 3), (2, 3), (3, 2)], {(1, 3): ONE, (2, 3): ONE, (3, 2): i},
+              WeightType.COMPLEX)
+    report = wdg_similarity_method(g)
+    assert report.verdict is Verdict.UNBALANCED
+    assert report.failure_stage is FailureStage.CYCLE_FOUND
+    assert report.witness.vertices == (3, 2)
+    assert report.witness.arcs() == [(3, 2), (2, 3)]
+    assert cycle_deviation(g, report.witness) > 0.1
+
+
+def test_wdg_check_takes_the_assignment_or_its_array(rng):
+    g = gen_random_balanced(6, 0.3, WeightType.DUAL_QUATERNION, rng)
+    pa = build_potential(g)
+    theta = np.array([pa.theta[v].to_array() for v in range(1, g.n + 1)])
+    assert np.asarray(pa).tobytes() == theta.tobytes()
+    assert wdg_similarity_check(g, pa) == wdg_similarity_check(g, theta)
+
+
 def test_wdg_non_invertible_theta(rng):
     g = build(2, [(1, 2)], {(1, 2): dq(1, 0, 0, 0)}, WeightType.DUAL_QUATERNION)
     bad = PotentialAssignment(
@@ -602,3 +637,104 @@ def test_check_balance_dispatch_and_timing(rng):
         assert report.verdict is Verdict.BALANCED
         assert report.seconds is not None and report.seconds >= 0.0
         assert report.method is Method(method)
+
+
+# ---------------------------------------------------------------------------
+# scale and non-finite values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, factor", [(30, 3.0), (10, 10.0)])
+def test_oracle_accepts_rescaled_balanced_cycles(n, factor):
+    # Cycle products reach factor ** n; neutrality is tested relative to that.
+    g = gen_cycle(n, WeightType.DUAL_QUATERNION, 1)
+    g = build(n, g.arcs, {a: w * factor for a, w in g.weights.items()}, g.weight_type)
+    assert cycle_oracle(g).verdict is Verdict.BALANCED
+    assert wdg_similarity_method(g).verdict is Verdict.BALANCED
+
+
+def test_nan_certificates_are_not_accepted(monkeypatch):
+    # `build` rejects non-finite weights, so the graph is put together directly.
+    g = gen_cycle(4, WeightType.DUAL_QUATERNION, 2)
+    rows = g.weight_array.copy()
+    rows[0, 5] = np.nan
+    report = wdg_similarity_method(WeightedDigraph(g.graph, g.weight_type, rows))
+    assert report.verdict is Verdict.UNBALANCED
+    assert report.failure_stage is FailureStage.SIMILARITY_CHECK
+    u = gen_cycle(4, WeightType.UNIT_DUAL_QUATERNION, 3)
+    monkeypatch.setattr(balance, "similarity_residual", lambda *args: float("nan"))
+    report = _null_space_pipeline(laplacian(u), unweighted_laplacian(u.graph), Method.DIRECT)
+    assert report.verdict is Verdict.UNBALANCED
+    assert report.failure_stage is FailureStage.SIMILARITY_CHECK
+
+
+# ---------------------------------------------------------------------------
+# array routines against scalar reference formulas
+# ---------------------------------------------------------------------------
+
+def scalar_symmetry_pairs(g, tol=1e-8):
+    for (i, j) in g.arcs:
+        if i < j and (j, i) in g.weights:
+            defect = g.weights[(i, j)] - g.weights[(j, i)].conjugate()
+            if linalg.fr_norm(defect.to_array()) > tol:
+                return (i, j)
+    return None
+
+
+def scalar_forest_theta(g):
+    """Potentials over a BFS forest: roots ascending, incident arcs in arc order."""
+    adj = {v: sorted([(a, a[1]) for a in g.arcs if a[0] == v]
+                     + [(a, a[0]) for a in g.arcs if a[1] == v]) for v in range(1, g.n + 1)}
+    theta, tree = {}, {}
+    for root in range(1, g.n + 1):
+        if root not in theta:
+            theta[root] = DualQuaternion.from_real(1.0)
+            queue = [root]
+            while queue:
+                v = queue.pop(0)
+                for arc, u in adj[v]:
+                    if u not in theta:
+                        w = g.weights[arc]
+                        if arc != (v, u):
+                            w = w.conjugate() if g.weight_type.is_unit else w.inverse()
+                        theta[u], tree[u] = theta[v] * w, arc
+                        queue.append(u)
+    return theta, tree
+
+
+def scalar_potential_defect(g, theta):
+    c, bad = [], None
+    for k, (i, j) in enumerate(g.arcs):
+        w = g.weights[(i, j)]
+        c.append(w.s.norm() * theta[i].s.norm() / theta[j].s.norm())
+        predicted = theta[i].inverse() * theta[j] * c[-1]
+        off = linalg.fr_norm((w - predicted).to_array())
+        if bad is None and off > BALANCE_TOL * (1.0 + linalg.fr_norm(w.to_array())):
+            bad = k
+    return bad, np.array(c)
+
+
+def scalar_configuration_residual(g, formation):
+    return max((linalg.fr_norm((w - formation[i - 1].conjugate() * formation[j - 1]).to_array())
+                for (i, j), w in g.weights.items()), default=0.0)
+
+
+def near(a, b, rtol=1e-12):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) <= rtol * (1.0 + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_array_routines_match_scalar_references(rng, wt):
+    for g in balanced_and_perturbed(wt, rng):
+        assert check_symmetry_pairs(g) == scalar_symmetry_pairs(g)
+        theta, (parent_arc, _) = _spanning_forest_theta(g)
+        ref_theta, ref_tree = scalar_forest_theta(g)
+        assert {v + 1: g.arcs[k] for v, k in enumerate(parent_arc) if k >= 0} == ref_tree
+        ref_rows = np.array([ref_theta[v].to_array() for v in range(1, g.n + 1)])
+        assert np.array_equal(theta, ref_rows) if wt.is_unit else near(theta, ref_rows)
+        bad, c = _potential_defect(g, theta)
+        ref_bad, ref_c = scalar_potential_defect(g, ref_theta)
+        assert bad == ref_bad and near(c, ref_c)
+        for formation in ([ref_theta[v] for v in range(1, g.n + 1)],
+                          [DualQuaternion.from_array(rng.normal(size=8)) for _ in range(g.n)]):
+            assert near(relative_configuration_residual(g, formation),
+                        scalar_configuration_residual(g, formation))

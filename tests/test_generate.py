@@ -9,6 +9,7 @@ from dqbalance.generate import (
     gen_random_balanced,
     gen_tree,
     perturb,
+    random_vertex_potential,
     random_weight,
 )
 from dqbalance.graphs import (
@@ -129,3 +130,35 @@ def test_random_weight_validates():
             w = random_weight(wt, rng)
             # building a one-arc graph runs the full validation
             build(2, [(1, 2)], {(1, 2): w}, wt)
+
+
+def pairwise_random_balanced(n, arc_density, weight_type, seed, dst):
+    """Reference: the extra arcs drawn one ordered pair at a time."""
+    rng = np.random.default_rng(seed)
+    arcs = set()
+    for v in range(2, n + 1):
+        p = int(rng.integers(1, v))
+        arcs.add((v, p) if dst or rng.random() < 0.5 else (p, v))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (i, j) not in arcs and rng.random() < arc_density:
+                arcs.add((i, j))
+    unit = weight_type.is_unit
+    theta = random_vertex_potential(n, weight_type, rng)
+    weights = {(i, j): _potential_weight(theta[i - 1], theta[j - 1],
+                                         1.0 if unit else float(np.exp(rng.normal(scale=0.3))),
+                                         unit)
+               for (i, j) in sorted(arcs)}
+    return sorted(arcs), weights, rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 50])
+def test_gen_random_balanced_draws_the_pairwise_stream(n):
+    for k, wt in enumerate(ALL_TYPES):
+        rng = np.random.default_rng(100 + k)
+        g = gen_random_balanced(n, 0.2, wt, rng, directed_spanning_tree=bool(k % 2))
+        arcs, weights, next_draw = pairwise_random_balanced(n, 0.2, wt, 100 + k, bool(k % 2))
+        assert list(g.arcs) == arcs
+        assert g.weight_array.tobytes() == np.array(
+            [weights[a].to_array() for a in arcs]).reshape(-1, 8).tobytes()
+        assert rng.random() == next_draw

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
+from dqbalance.generate import gen_random_balanced, random_weight
 from dqbalance.graphs import (
+    ArcNotFoundError,
     Digraph,
     DuplicateArcError,
     InvalidWalkError,
@@ -13,18 +15,30 @@ from dqbalance.graphs import (
     WeightType,
     WeightTypeMismatchError,
     build,
+    cycle_products,
     enumerate_cycles,
     has_directed_spanning_tree,
     is_weakly_connected,
     laplacian,
     orient_cycle,
     out_degree,
+    spanning_forest,
     unweighted_laplacian,
     walk_weight,
     weighted_magnitude_laplacian,
 )
 
-from conftest import I, J, K, ONE, cycles_equivalent, make_cycle3, make_tree
+from conftest import (
+    I,
+    J,
+    K,
+    ONE,
+    Q0,
+    balanced_and_perturbed,
+    cycles_equivalent,
+    make_cycle3,
+    make_tree,
+)
 
 
 def unit_pair(rng):
@@ -81,9 +95,62 @@ def test_build_requires_all_weights(rng):
               WeightType.UNIT_DUAL_QUATERNION)
 
 
+def test_build_names_the_first_bad_arc_in_arc_order():
+    two = DualQuaternion.from_real(2.0)
+    with pytest.raises(NonUnitWeightError, match=r"^arc \(1, 2\): weight fails unit"):
+        build(3, [(3, 1), (1, 2)], {(3, 1): two, (1, 2): two},
+              WeightType.UNIT_DUAL_QUATERNION)
+    # Per arc the checks keep their order: appreciability before the embedding.
+    j = DualQuaternion(Quaternion(0, 0, 1, 0), Q0)
+    zero_j = DualQuaternion(Q0, Quaternion(0, 0, 1, 0))
+    with pytest.raises(NonAppreciableWeightError, match=r"^arc \(1, 3\): weight has no"):
+        build(3, [(2, 1), (1, 3)], {(2, 1): j, (1, 3): zero_j}, WeightType.COMPLEX)
+
+
+# ---------------------------------------------------------------------------
+# the weight array
+# ---------------------------------------------------------------------------
+
+def test_weight_array_and_arc_ends_are_read_only(rng):
+    g = gen_random_balanced(6, 0.3, WeightType.DUAL_QUATERNION, rng)
+    assert g.weight_array.shape == (len(g.arcs), 8)
+    assert [(t + 1, h + 1) for t, h in zip(g.graph.tails, g.graph.heads)] == list(g.arcs)
+    for array in (g.weight_array, g.graph.tails, g.graph.heads):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_weights_view_equals_the_built_mapping_bit_for_bit(rng, wt):
+    arcs = [(3, 2), (1, 2), (3, 1), (2, 3), (4, 1)]
+    weights = {a: random_weight(wt, rng) for a in arcs}
+    g = build(4, arcs, weights, wt)
+    assert dict(g.weights) == weights
+    for a in arcs:
+        assert g.weights[a].to_array().tobytes() == weights[a].to_array().tobytes()
+    rows = np.array([weights[a].to_array() for a in sorted(arcs)])
+    assert g.weight_array.tobytes() == rows.tobytes()
+    with pytest.raises(TypeError):
+        g.weights[(1, 2)] = weights[(1, 2)]
+    for absent in [(2, 1), (1, 4), (4, 5), (0, 1), (1, 1)]:
+        assert absent not in g.weights
+        with pytest.raises(ArcNotFoundError):
+            g.weight(*absent)
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------
+
+def test_spanning_forest_order():
+    # Roots ascend and each vertex takes its arcs in (tail, head) order: 3 is
+    # queued before 4, so 2 is reached along (3, 2), not along (2, 4).
+    g = Digraph(6, ((4, 1), (1, 3), (2, 4), (3, 2), (6, 5)))
+    parent_arc, depth = spanning_forest(g)
+    assert [g.arcs[k] if k >= 0 else None for k in parent_arc] == [
+        None, (3, 2), (1, 3), (4, 1), None, (6, 5)]
+    assert depth.tolist() == [0, 2, 1, 1, 0, 1]
+
 
 def test_weak_connectivity(rng):
     assert is_weakly_connected(make_tree(*unit_pair(rng)).graph)
@@ -288,9 +355,41 @@ def test_walk_weight_rejects_invalid(rng):
         walk_weight(g, [2, 3])
     with pytest.raises(InvalidWalkError):
         walk_weight(g, OrientedCycle((2, 1), (True, True)))
+    # Vertices out of range name no arc either; the lookup must not index past the arcs.
+    for walk in ([1, g.n + 2], [g.n + 2, 1], [0, 1], [1, -1]):
+        with pytest.raises(InvalidWalkError):
+            walk_weight(g, walk)
+    with pytest.raises(InvalidWalkError):
+        orient_cycle([1, g.n + 2], g.graph)
+    with pytest.raises(InvalidWalkError):
+        cycle_products(g, [OrientedCycle((1, g.n + 2), (True, False))])
 
 
 def test_orient_cycle_prefers_forward():
     g = Digraph(2, ((1, 2), (2, 1)))
     cyc = orient_cycle([1, 2], g)
     assert cyc.forward == (True, True)
+
+
+def scalar_walk_weight(g, cycle):
+    """Reference: left-to-right product of `DualQuaternion` shadow elements."""
+    prod = DualQuaternion.from_real(1.0)
+    for arc, fwd in zip(cycle.arcs(), cycle.forward):
+        w = g.weights[arc]
+        prod = prod * (w if fwd else w.conjugate() if g.weight_type.is_unit else w.inverse())
+    return prod.to_array()
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_cycle_products_match_scalar_products(rng, wt):
+    for g in balanced_and_perturbed(wt, rng):
+        cycles = enumerate_cycles(g.graph).cycles
+        assert cycles
+        products = cycle_products(g, cycles)
+        for cycle, row in zip(cycles, products):
+            assert np.array_equal(walk_weight(g, cycle).to_array(), row)
+            ref = scalar_walk_weight(g, cycle)
+            if wt.is_unit:      # conjugates: the same arithmetic
+                assert np.array_equal(row, ref)
+            else:               # inverses square the norm as x * x, not x ** 2
+                assert np.linalg.norm(row - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))

@@ -4,7 +4,7 @@ import pytest
 
 from dqbalance.balance import cycle_oracle, direct_method
 from dqbalance.generate import gen_cycle, gen_random_balanced
-from dqbalance.graphs import WeightType
+from dqbalance.graphs import NonFiniteWeightError, WeightType
 from dqbalance.serialize import (
     GraphFormatError,
     dumps_graph,
@@ -84,3 +84,19 @@ def test_report_witness_serialization():
     assert obj["failure_stage"] == "cycle_found"
     assert sorted(obj["witness"]["vertices"]) == [1, 2, 3, 4]
     assert len(obj["witness"]["forward"]) == 4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_loads_rejects_a_non_finite_dual_part(bad):
+    obj = graph_to_obj(gen_cycle(3, WeightType.DUAL_QUATERNION, seed=5))
+    obj["arcs"][1]["w"]["d"][2] = bad
+    with pytest.raises(NonFiniteWeightError, match=r"^arc \(2, 3\)"):
+        loads_graph(json.dumps(obj))
+
+
+def test_loads_rejects_a_weight_whose_magnitude_overflows():
+    text = json.dumps({"n": 2, "weight_type": "real",
+                       "arcs": [{"tail": 1, "head": 2,
+                                 "w": {"s": [1e160, 0.0, 0.0, 0.0], "d": [0.0] * 4}}]})
+    with pytest.raises(NonFiniteWeightError, match=r"^arc \(1, 2\)"):
+        loads_graph(text)
