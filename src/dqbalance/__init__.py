@@ -36,6 +36,7 @@ from .balance import (
     cycle_oracle,
     direct_method,
     gain_graph_method,
+    potential_certified,
     relative_configuration_residual,
     similarity_residual,
     symmetrized_gain_graph,
@@ -63,7 +64,6 @@ from .graphs import (
     has_directed_spanning_tree,
     is_weakly_connected,
     laplacian,
-    out_degree,
     unweighted_laplacian,
     walk_weight,
 )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +95,12 @@ class FailureStage(str, Enum):
 class BalanceReport:
     """Outcome of a balance check.
 
-    ``formation`` is present on balanced verdicts: for the unit-weight
-    methods it is the recovered formation vector (satisfying
-    ``weight(i,j) == conj(f_i) * f_j`` on every arc), for the general route
-    the inverse-potential vector.  ``err`` is the similarity residual of the
-    certificate; ``witness`` carries a non-neutral cycle when one is known.
+    ``formation`` is present on balanced verdicts.  Every method reports the
+    same kind per weight type: for unit weight types the formation vector
+    (satisfying ``weight(i,j) == conj(f_i) * f_j`` on every arc), for general
+    weights the inverse-potential vector.  ``err`` is the similarity residual
+    of the certificate; ``witness`` carries a non-neutral cycle when one is
+    known.
     """
 
     verdict: Verdict
@@ -178,19 +180,15 @@ def solve_standard_part(L: np.ndarray) -> StandardSolveResult:
 
 
 def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
-                    solver: linalg.QuatLeastSquares | None = None) -> DualSolveResult:
+                    solver: linalg.QuatLeastSquares) -> DualSolveResult:
     """Stage two: pin the first dual entry to 0 and solve for the dual part.
 
     The right-hand side is ``-(dual part of L) @ x_s``; the coefficient
-    matrix is the same reduced standard block as in stage one, so the
-    factorization can be reused.  ``orthogonal`` records whether
+    matrix is the same reduced standard block as in stage one, so ``solver``
+    is stage one's factorization of it.  ``orthogonal`` records whether
     ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry.
     """
-    Ls = linalg.dq_standard(L)
-    Ld = linalg.dq_dual(L)
-    rhs = -linalg.qmat_mul(Ld, x_s[:, None, :])[:, 0, :]
-    if solver is None:
-        solver = linalg.QuatLeastSquares(Ls[:, 1:, :])
+    rhs = -linalg.qmat_mul(linalg.dq_dual(L), x_s[:, None, :])[:, 0, :]
     x2, residual = solver.solve(rhs)
     consistent = linalg.is_consistent(residual, rhs)
     x = np.vstack([np.zeros((1, 4)), x2])
@@ -351,7 +349,9 @@ def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport
     positive real dual number, tested as by `is_neutral` once divided by its
     standard magnitude (a positive real, so the tolerance becomes relative).
     Returns the first offending cycle as a witness.  If enumeration hits
-    ``max_cycles`` the verdict is indeterminate.
+    ``max_cycles`` the verdict is indeterminate.  A balanced verdict must
+    also pass the spanning-tree potential's certificate, as in
+    `wdg_similarity_method`.
     """
     enum = enumerate_cycles(g.graph, max_cycles)
     if enum.truncated:
@@ -369,28 +369,33 @@ def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport
         return BalanceReport(Verdict.UNBALANCED, Method.CYCLE_ORACLE,
                              failure_stage=FailureStage.CYCLE_FOUND,
                              witness=enum.cycles[int(np.argmax(off))])
-    theta, _ = _spanning_forest_theta(g)
-    if g.weight_type.is_unit:
-        err = similarity_residual(laplacian(g), linalg.dqconj(theta),
-                                  unweighted_laplacian(g.graph))
-        formation = theta
-    else:
-        err, _ = wdg_similarity_check(g, theta)
-        formation = _inverse_potential(theta)
-    return BalanceReport(Verdict.BALANCED, Method.CYCLE_ORACLE,
-                         formation=tuple(linalg.dqvec_to_scalars(formation)), err=err)
+    return _potential_report(g, _tree_potential(g).theta, Method.CYCLE_ORACLE)
 
 
 # ---------------------------------------------------------------------------
 # Potential functions (general weight groups)
 # ---------------------------------------------------------------------------
 
-def _spanning_forest_theta(g: WeightedDigraph) -> tuple[np.ndarray, tuple]:
+class _TreePotential(NamedTuple):
+    """The BFS spanning-forest potential of a graph and what it shows."""
+
+    theta: np.ndarray               # (n, 8), row v - 1 for vertex v; unit standard magnitude
+    connected: bool                 # one root: the graph is weakly connected
+    bad: int | None                 # first arc that fails to factor through theta
+    c: np.ndarray                   # (m,) positive arc scalars, |w_s|
+    forest: tuple[np.ndarray, np.ndarray]   # the `spanning_forest` it was propagated over
+
+
+def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     """Vertex potentials propagated over the BFS spanning forest (see `spanning_forest`).
 
     Roots get potential 1, children ``theta(parent) * weight`` along forward
     tree arcs and ``theta(parent) * weight^-1`` along backward ones, one BFS
-    level at a time.  Returns the potentials (row v - 1 for vertex v) and the forest.
+    level at a time, each divided by its standard magnitude (a positive real,
+    which the arc scalars absorb).  Every arc is then checked against
+    ``theta(i)^-1 theta(j) c_ij`` within ``BALANCE_TOL * (1 + |w|)``, with the
+    scalar its magnitude forces, ``c_ij = |w_s(i,j)|`` as every potential has
+    unit standard magnitude.
     """
     parent_arc, depth = forest = spanning_forest(g.graph)
     child = np.flatnonzero(parent_arc >= 0)
@@ -401,41 +406,32 @@ def _spanning_forest_theta(g: WeightedDigraph) -> tuple[np.ndarray, tuple]:
     theta = np.tile(np.eye(1, 8), (g.n, 1))     # roots keep potential 1
     for level in range(1, int(depth.max()) + 1):
         at = depth[child] == level
-        theta[child[at]] = linalg.dqmul(theta[parent[at]], steps[at])
-    return theta, forest
-
-
-def _potential_defect(g: WeightedDigraph, theta: np.ndarray) -> tuple[int | None, np.ndarray]:
-    """Index of the first arc whose weight fails to factor through the potential, if any.
-
-    Also returns the positive arc scalars forced by magnitudes,
-    ``|w_s(i,j)| |theta_s(i)| / |theta_s(j)|``.
-    """
+        rows = linalg.dqmul(theta[parent[at]], steps[at])
+        theta[child[at]] = rows / np.linalg.norm(rows[:, :4], axis=1, keepdims=True)
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
-    size = np.linalg.norm(theta[:, :4], axis=1)
-    c = np.linalg.norm(W[:, :4], axis=1) * size[tails] / size[heads]
+    c = np.linalg.norm(W[:, :4], axis=1)
     predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]
     bad = np.flatnonzero(np.linalg.norm(W - predicted, axis=1)
                          > BALANCE_TOL * (1.0 + np.linalg.norm(W, axis=1)))
-    return (int(bad[0]) if len(bad) else None), c
+    connected = int(np.count_nonzero(parent_arc < 0)) == 1     # one root per weak component
+    return _TreePotential(theta, connected, int(bad[0]) if len(bad) else None, c, forest)
 
 
 def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
     """Construct and verify a potential function, or report that none exists.
 
-    The potential is seeded over a BFS spanning tree rooted at vertex 1 (tree
-    arcs get scalar 1 by construction); every remaining arc is then checked
-    against the factorization with its magnitude-forced scalar.  Absence of a
-    potential is equivalent to some cycle being non-neutral.
+    The potential is seeded over a BFS spanning tree rooted at vertex 1 and
+    normalised to unit standard magnitude at every vertex; every arc is then
+    checked against the factorization with its magnitude-forced scalar.
+    Absence of a potential is equivalent to some cycle being non-neutral.
     """
-    theta, (parent_arc, _) = _spanning_forest_theta(g)
-    if np.count_nonzero(parent_arc < 0) > 1:    # one root per weak component
+    tp = _tree_potential(g)
+    if not tp.connected:
         raise NotConnectedError("build_potential requires a weakly connected graph")
-    bad, c = _potential_defect(g, theta)
-    if bad is not None:
+    if tp.bad is not None:
         return None
-    return PotentialAssignment(dict(enumerate(linalg.dqvec_to_scalars(theta), start=1)),
-                               dict(zip(g.arcs, c.tolist())))
+    return PotentialAssignment(dict(enumerate(linalg.dqvec_to_scalars(tp.theta), start=1)),
+                               dict(zip(g.arcs, tp.c.tolist())))
 
 
 def _inverse_potential(theta: np.ndarray) -> np.ndarray:
@@ -449,11 +445,12 @@ def wdg_similarity_check(g: WeightedDigraph, assignment) -> tuple[float, float]:
     Returns ``(err, null_residual)`` where ``err`` is the deviation of
     ``diag(y)^-1 L_hat diag(y)`` from the real Laplacian with entries
     ``|standard part|``, and ``null_residual = |L_hat y|``, for the
-    inverse-potential vector ``y``.  Both are below the balance threshold
-    exactly when the assignment is a genuine potential.  Both are evaluated
-    on the diagonal and the arcs only, where the Laplacians can be nonzero.
-    ``assignment`` is a `PotentialAssignment` or its potentials as an (n, 8)
-    array, row v - 1 for vertex v: anything that converts to that array.
+    inverse-potential vector ``y``.  Both are small exactly when the
+    assignment is a genuine potential (see `potential_certified`).  Both are
+    evaluated on the diagonal and the arcs only, where the Laplacians can be
+    nonzero.  ``assignment`` is a `PotentialAssignment` or its potentials as
+    an (n, 8) array, row v - 1 for vertex v: anything that converts to that
+    array.
     """
     theta = np.asarray(assignment, dtype=np.float64).reshape(g.n, 8)
     appreciable = np.linalg.norm(theta[:, :4], axis=1) > APPRECIABLE_TOL
@@ -468,6 +465,34 @@ def wdg_similarity_check(g: WeightedDigraph, assignment) -> tuple[float, float]:
     return err, linalg.fr_norm(L_hat_y)
 
 
+def potential_certified(g: WeightedDigraph, err: float, null_residual: float) -> bool:
+    """Whether a `wdg_similarity_check` certificate passes.
+
+    Both residuals must be at most ``BALANCE_TOL * (1 + max_k |w_k|)``, the
+    per-arc tolerance of the potential check at the largest weight, so the
+    gate scales with the weights.  NaN residuals fail.
+    """
+    tol = BALANCE_TOL * (1.0 + float(np.max(np.linalg.norm(g.weight_array, axis=1),
+                                            initial=0.0)))
+    return err <= tol and null_residual <= tol
+
+
+def _potential_report(g: WeightedDigraph, theta: np.ndarray, method: Method) -> BalanceReport:
+    """Verdict of the potential certificate, with the formation the potential gives.
+
+    The formation is ``f`` with ``weight(i,j) == conj(f_i) * f_j`` for unit
+    weight types, which is the potential itself, and the inverse potential
+    otherwise.
+    """
+    err, null_residual = wdg_similarity_check(g, theta)
+    if not potential_certified(g, err, null_residual):
+        return BalanceReport(Verdict.UNBALANCED, method, err=err,
+                             failure_stage=FailureStage.SIMILARITY_CHECK)
+    formation = theta if g.weight_type.is_unit else _inverse_potential(theta)
+    return BalanceReport(Verdict.BALANCED, method, err=err,
+                         formation=tuple(linalg.dqvec_to_scalars(formation)))
+
+
 def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
     """Balance verdict for arbitrary weight groups via the potential route.
 
@@ -475,21 +500,14 @@ def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
     cycle with its tree path, which is returned as the witness.  On success
     the similarity certificate provides the residual.
     """
-    theta, forest = _spanning_forest_theta(g)
-    if np.count_nonzero(forest[0] < 0) > 1:     # one root per weak component
+    tp = _tree_potential(g)
+    if not tp.connected:
         raise NotConnectedError("wdg_similarity_method requires a weakly connected graph")
-    bad, _ = _potential_defect(g, theta)
-    if bad is not None:
+    if tp.bad is not None:
         return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY,
                              failure_stage=FailureStage.CYCLE_FOUND,
-                             witness=_closing_cycle(g, *forest, bad))
-    err, null_residual = wdg_similarity_check(g, theta)
-    if not (err <= BALANCE_TOL and null_residual <= BALANCE_TOL):
-        return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY, err=err,
-                             failure_stage=FailureStage.SIMILARITY_CHECK)
-    formation = linalg.dqvec_to_scalars(_inverse_potential(theta))
-    return BalanceReport(Verdict.BALANCED, Method.WDG_SIMILARITY,
-                         formation=tuple(formation), err=err)
+                             witness=_closing_cycle(g, *tp.forest, tp.bad))
+    return _potential_report(g, tp.theta, Method.WDG_SIMILARITY)
 
 
 def _closing_cycle(g: WeightedDigraph, parent_arc: np.ndarray, depth: np.ndarray,

@@ -11,13 +11,13 @@ import json
 import sys
 
 from .balance import (
-    BALANCE_TOL,
     BalanceReport,
     Method,
     NotUnitWeightTypeError,
     Verdict,
     build_potential,
     check_balance,
+    potential_certified,
     wdg_similarity_check,
 )
 from .bench import run_benchmark, save_csv, write_csv
@@ -203,7 +203,7 @@ def _cmd_verify_potential(args) -> int:
         print("no potential function exists: graph is unbalanced")
         return 1
     err, null_residual = wdg_similarity_check(g, assignment)
-    balanced = err <= BALANCE_TOL and null_residual <= BALANCE_TOL
+    balanced = potential_certified(g, err, null_residual)
     if args.json:
         print(json.dumps({
             "balanced": balanced,

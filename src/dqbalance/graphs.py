@@ -278,17 +278,6 @@ def has_directed_spanning_tree(g: Digraph) -> bool:
 # Degrees and Laplacians
 # ---------------------------------------------------------------------------
 
-def out_degree(g: WeightedDigraph, i: int) -> float:
-    """Out-degree of vertex i: the sum of |standard part| over arcs leaving i.
-
-    For unit weight types every term is one, so this is exactly the number
-    of outgoing arcs.
-    """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    return float(laplacian_entries(g)[3][i - 1])
-
-
 def laplacian_entries(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray,
                                                   np.ndarray, np.ndarray]:
     """The entries of `laplacian` and `weighted_magnitude_laplacian` that can be nonzero.
@@ -298,7 +287,8 @@ def laplacian_entries(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray,
     values ``L`` (shape (n + m, 8)) of the weighted Laplacian and the real
     values ``M`` (shape (n + m,)) of the magnitude Laplacian there.  Every
     other entry of both matrices is zero.  The diagonal holds the
-    out-degrees (see `out_degree`), summed in arc order.
+    out-degrees, the sums of |standard part| over the arcs leaving each
+    vertex (arc counts for unit weight types), summed in arc order.
     """
     n, tails = g.n, g.graph.tails
     mag = np.linalg.norm(g.weight_array[:, :4], axis=1)
@@ -374,16 +364,6 @@ class OrientedCycle:
 class CycleEnumeration:
     cycles: tuple[OrientedCycle, ...]
     truncated: bool = False
-
-
-def orient_cycle(vertices: Sequence[int], g: Digraph) -> OrientedCycle:
-    """Cycle over a vertex sequence with inferred step directions.
-
-    Each step must correspond to an arc in some direction; when both
-    directions exist the forward arc is preferred.
-    """
-    vertices = tuple(vertices)
-    return OrientedCycle(vertices, tuple(_directions(g, *_cycle_steps([vertices])).tolist()))
 
 
 def _cycle_steps(cycles: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:

@@ -107,12 +107,6 @@ def qmat_conj_transpose(A: np.ndarray) -> np.ndarray:
     return qconj(A).transpose(1, 0, 2)
 
 
-def qmat_eye(n: int) -> np.ndarray:
-    out = np.zeros((n, n, 4))
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Real expansion
 # ---------------------------------------------------------------------------
@@ -133,22 +127,6 @@ def real_expand(A: np.ndarray) -> np.ndarray:
     A = _check_qmat(A)
     return np.block([[s * A[:, :, c] for c, s in zip(comp, sign)]
                      for comp, sign in zip(_EXPAND_COMP, _EXPAND_SIGN)])
-
-
-def expand_vector(b: np.ndarray) -> np.ndarray:
-    """First block column of the real representation: (m,4) -> (4m,)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] != 4:
-        raise ShapeMismatchError(f"expected shape (m, 4), got {b.shape}")
-    return b.T.reshape(-1)
-
-
-def unexpand_vector(v: np.ndarray) -> np.ndarray:
-    """Inverse of `expand_vector`: (4n,) -> (n, 4)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] % 4:
-        raise ShapeMismatchError(f"expected flat length divisible by 4, got {v.shape}")
-    return v.reshape(4, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +155,6 @@ def complex_adjoint(A: np.ndarray) -> np.ndarray:
 
 def _adjoint_column(b: np.ndarray) -> np.ndarray:
     """First column of the complex adjoint of a quaternion vector: (m,4) -> (2m,)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] != 4:
-        raise ShapeMismatchError(f"expected shape (m, 4), got {b.shape}")
     return np.concatenate([b[:, 0] + 1j * b[:, 1], -b[:, 2] + 1j * b[:, 3]])
 
 
@@ -232,25 +207,15 @@ class QuatLeastSquares:
             (x, residual) with x of shape (n, 4) and residual = |A x - b|
             over all real components.
         """
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (self.m, 4):
+            raise ShapeMismatchError(f"b has shape {b.shape}, expected ({self.m}, 4)")
         rv = _adjoint_column(b)
         # u^H rv and vh^H coeff without copying the conjugated factors.
         coeff = (self._u.T @ rv.conj()).conj() / self._s
         x = (self._vh.T @ coeff.conj()).conj()
         residual = float(np.linalg.norm(rv - self._u @ (coeff * self._s)))
         return _from_adjoint_column(x), residual
-
-
-def solve_least_squares(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of the quaternion system A x = b.
-
-    Returns (x, residual); the system is consistent when
-    residual <= SOLVE_TOL * (1 + |b|).
-    """
-    A = _check_qmat(A)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.shape[0], 4):
-        raise ShapeMismatchError(f"b has shape {b.shape}, expected ({A.shape[0]}, 4)")
-    return QuatLeastSquares(A).solve(b)
 
 
 def is_consistent(residual: float, b: np.ndarray) -> bool:
@@ -324,11 +289,6 @@ def dqmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.concatenate([s, d], axis=-1)
 
 
-def dqmat_conj_transpose(A: np.ndarray) -> np.ndarray:
-    A = _check_dqmat(A)
-    return dqconj(A).transpose(1, 0, 2)
-
-
 def dqmat_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product, (m,n,8) @ (n,8) -> (m,8)."""
     A = _check_dqmat(A)
@@ -336,17 +296,6 @@ def dqmat_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.shape != (A.shape[1], 8):
         raise ShapeMismatchError(f"vector has shape {v.shape}, expected ({A.shape[1]}, 8)")
     return dqmat_mul(A, v[:, None, :])[:, 0, :]
-
-
-def dqmat_eye(n: int) -> np.ndarray:
-    out = np.zeros((n, n, 8))
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
-
-
-def dqmat_from_scalars(entries) -> np.ndarray:
-    """Build a (m, n, 8) array from nested lists of DualQuaternion values."""
-    return np.array([[q.to_array() for q in row] for row in entries])
 
 
 def dqvec_to_scalars(v: np.ndarray) -> list[DualQuaternion]:
@@ -360,10 +309,10 @@ def fr_norm(M: np.ndarray) -> float:
 
 __all__ = [
     "RANK_TOL", "SOLVE_TOL", "ShapeMismatchError",
-    "qconj", "qmul", "qmat_mul", "qmat_conj_transpose", "qmat_eye",
-    "real_expand", "expand_vector", "unexpand_vector", "complex_adjoint",
-    "QuatLeastSquares", "solve_least_squares", "is_consistent", "rank",
+    "qconj", "qmul", "qmat_mul", "qmat_conj_transpose",
+    "real_expand", "complex_adjoint",
+    "QuatLeastSquares", "is_consistent", "rank",
     "dq_standard", "dq_dual", "dq_join", "dqconj", "dqmul", "dqinv",
-    "dqmat_mul", "dqmat_conj_transpose", "dqmat_apply", "dqmat_eye",
-    "dqmat_from_scalars", "dqvec_to_scalars", "fr_norm",
+    "dqmat_mul", "dqmat_apply",
+    "dqvec_to_scalars", "fr_norm",
 ]

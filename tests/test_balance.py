@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dqbalance import balance, linalg
 from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
@@ -13,8 +15,7 @@ from dqbalance.balance import (
     PotentialAssignment,
     Verdict,
     _null_space_pipeline,
-    _potential_defect,
-    _spanning_forest_theta,
+    _tree_potential,
     build_potential,
     check_balance,
     check_symmetry_pairs,
@@ -211,7 +212,7 @@ def test_solve_dual_zero_dual_weights():
     g = make_cycle3(I, J, K)
     L = laplacian(g)
     std = solve_standard_part(L)
-    dual = solve_dual_part(L, std.x)
+    dual = solve_dual_part(L, std.x, std.solver)
     assert dual.consistent
     assert np.allclose(dual.x, 0.0, atol=1e-12)
 
@@ -311,7 +312,7 @@ def test_symmetrized_gain_graph_tree(rng):
 def test_gain_laplacian_hermitian_exactly(rng):
     g, _ = balanced_cycle3(rng)
     L1 = laplacian(symmetrized_gain_graph(g))
-    assert np.array_equal(L1, linalg.dqmat_conj_transpose(L1))
+    assert np.array_equal(L1, linalg.dqconj(L1).transpose(1, 0, 2))
 
 
 def test_gain_graph_tree_balanced(rng):
@@ -348,9 +349,20 @@ def test_methods_agree_with_stored_antiparallel_pair(rng):
     arcs = [(1, 2), (2, 1), (2, 3)]
     weights = {(i, j): f[i - 1].conjugate() * f[j - 1] for (i, j) in arcs}
     g = build(3, arcs, weights, WeightType.UNIT_DUAL_QUATERNION)
-    assert direct_method(g).verdict is Verdict.BALANCED
-    assert gain_graph_method(g).verdict is Verdict.BALANCED
-    assert cycle_oracle(g).verdict is Verdict.BALANCED
+    for method in (direct_method, gain_graph_method, cycle_oracle, wdg_similarity_method):
+        report = method(g)
+        assert report.verdict is Verdict.BALANCED
+        assert relative_configuration_residual(g, report.formation) <= 1e-8
+
+
+def test_unit_formations_of_every_method_reproduce_the_arcs():
+    # Every method reports f with w(i, j) = conj(f_i) f_j on unit graphs,
+    # the potential route included.
+    g = gen_random_balanced(12, 0.2, WeightType.UNIT_DUAL_QUATERNION, 4)
+    for method in Method:
+        report = check_balance(g, method)
+        assert report.verdict is Verdict.BALANCED
+        assert relative_configuration_residual(g, report.formation) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +655,44 @@ def test_check_balance_dispatch_and_timing(rng):
 # scale and non-finite values
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n, factor", [(30, 3.0), (10, 10.0)])
+def rescaled(g, factors):
+    """The graph with arc k's weight multiplied by the positive real ``factors[k]``."""
+    rows = g.weight_array * np.broadcast_to(factors, (len(g.arcs),))[:, None]
+    return build(g.n, g.arcs, dict(zip(g.arcs, rows)), g.weight_type)
+
+
+@pytest.mark.parametrize("n, factor", [(30, 3.0), (10, 10.0), (30, 10.0), (60, 3.0),
+                                       (200, 0.5), (200, 1.5)])
 def test_oracle_accepts_rescaled_balanced_cycles(n, factor):
     # Cycle products reach factor ** n; neutrality is tested relative to that.
-    g = gen_cycle(n, WeightType.DUAL_QUATERNION, 1)
-    g = build(n, g.arcs, {a: w * factor for a, w in g.weights.items()}, g.weight_type)
+    # Potentials reach factor ** (n / 2) unless each one is normalised.
+    g = rescaled(gen_cycle(n, WeightType.DUAL_QUATERNION, 1), factor)
     assert cycle_oracle(g).verdict is Verdict.BALANCED
+    assert wdg_similarity_method(g).verdict is Verdict.BALANCED
+
+
+@pytest.mark.parametrize("factor", [1e-4, 1e6])
+def test_potential_route_accepts_rescaled_random_graphs(factor):
+    # The certificate residuals grow with the weights, so the gate must too.
+    g = rescaled(gen_random_balanced(100, 0.04, WeightType.DUAL_QUATERNION, 2), factor)
+    report = wdg_similarity_method(g)
+    assert report.verdict is Verdict.BALANCED, report
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kind=st.sampled_from(["cycle", "random"]),
+       wt=st.sampled_from([WeightType.DUAL_QUATERNION, WeightType.COMPLEX, WeightType.REAL]),
+       n=st.integers(3, 60), density=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1),
+       u=st.floats(-15.0, 160.0), s=st.floats(0.0, 2.0))
+def test_positive_rescaling_keeps_the_potential_verdict(kind, wt, n, density, seed, u, s):
+    # Every arc times 10^(u + s U(-1, 1)): a positive real per arc, which a
+    # potential's scalars absorb, so the graph stays balanced.
+    rng = np.random.default_rng(seed)
+    g = gen_cycle(n, wt, rng) if kind == "cycle" else gen_random_balanced(n, density, wt, rng)
+    try:
+        g = rescaled(g, 10.0 ** (u + s * rng.uniform(-1.0, 1.0, len(g.arcs))))
+    except ValueError:          # a weight `build` rejects: not appreciable or not finite
+        assume(False)
     assert wdg_similarity_method(g).verdict is Verdict.BALANCED
 
 
@@ -697,6 +741,7 @@ def scalar_forest_theta(g):
                         if arc != (v, u):
                             w = w.conjugate() if g.weight_type.is_unit else w.inverse()
                         theta[u], tree[u] = theta[v] * w, arc
+                        theta[u] = theta[u] * (1.0 / theta[u].s.norm())
                         queue.append(u)
     return theta, tree
 
@@ -726,12 +771,12 @@ def near(a, b, rtol=1e-12):
 def test_array_routines_match_scalar_references(rng, wt):
     for g in balanced_and_perturbed(wt, rng):
         assert check_symmetry_pairs(g) == scalar_symmetry_pairs(g)
-        theta, (parent_arc, _) = _spanning_forest_theta(g)
+        theta, connected, bad, c, (parent_arc, _) = _tree_potential(g)
         ref_theta, ref_tree = scalar_forest_theta(g)
         assert {v + 1: g.arcs[k] for v, k in enumerate(parent_arc) if k >= 0} == ref_tree
+        assert connected == (len(ref_tree) == g.n - 1)
         ref_rows = np.array([ref_theta[v].to_array() for v in range(1, g.n + 1)])
-        assert np.array_equal(theta, ref_rows) if wt.is_unit else near(theta, ref_rows)
-        bad, c = _potential_defect(g, theta)
+        assert near(theta, ref_rows)
         ref_bad, ref_c = scalar_potential_defect(g, ref_theta)
         assert bad == ref_bad and near(c, ref_c)
         for formation in ([ref_theta[v] for v in range(1, g.n + 1)],

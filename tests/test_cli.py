@@ -4,7 +4,9 @@ import json
 import pytest
 
 from dqbalance.cli import main
-from dqbalance.serialize import load_graph
+from dqbalance.generate import gen_random_balanced
+from dqbalance.graphs import build
+from dqbalance.serialize import load_graph, save_graph
 
 
 def run(capsys, *argv):
@@ -148,3 +150,13 @@ def test_verify_potential_unbalanced(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-potential", path)
     assert code == 1
     assert "unbalanced" in out
+
+
+def test_verify_potential_gate_scales_with_the_weights(tmp_path, capsys):
+    # The residuals grow with the weights, so the gate must too.
+    g = gen_random_balanced(40, 0.1, "dual_quaternion", 2)
+    path = str(tmp_path / "g.json")
+    save_graph(build(g.n, g.arcs, dict(zip(g.arcs, g.weight_array * 1e6)), g.weight_type), path)
+    code, out, _ = run(capsys, "verify-potential", path, "--json")
+    assert code == 0
+    assert json.loads(out)["balanced"] is True
