@@ -3,10 +3,10 @@
 A weighting of a directed graph is *balanced* (equivalently, a desired
 relative configuration scheme is feasible) when the oriented weight product
 around every simple cycle is the identity (unit weights) or a positive real
-(general weights).  This package decides balance three ways -- a staged
-Laplacian null-space solve, a Hermitian gain-graph reduction, and a
-brute-force cycle oracle -- and recovers the certifying formation or
-potential vector.
+(general weights).  This package decides balance four ways -- a staged
+Laplacian null-space solve, a Hermitian gain-graph reduction, a brute-force
+cycle oracle and a spanning-tree potential -- and certifies every balanced
+verdict by one potential certificate, which yields the formation or potential.
 """
 
 from .algebra import (

@@ -1,19 +1,23 @@
 """Balance / feasibility checking for weighted digraphs.
 
-Three decision procedures are provided:
+Four decision procedures are provided:
 
 * `direct_method` -- solves the weighted Laplacian null system in two
-  least-squares stages (standard part, then dual part) and certifies the
-  verdict by conjugating the Laplacian onto the unweighted one.
+  least-squares stages (standard part, then dual part).
 * `gain_graph_method` -- symmetrizes the digraph into a gain graph with a
-  Hermitian Laplacian and runs the same pipeline there.
-* `cycle_oracle` -- brute force: enumerates every simple cycle and tests the
-  oriented weight product (identity for unit weights, a positive real for
-  general ones).  Intended as a desk-scale reference, not a production path.
+  Hermitian Laplacian and runs the same staged solves there.
+* `cycle_oracle` -- brute force: enumerates every simple cycle and tests
+  that its oriented weight product is neutral (`_cycle_defects`).  Intended
+  as a desk-scale reference, not a production path.
+* `wdg_similarity_method` -- propagates a potential over a spanning tree
+  and checks every arc against it (`_tree_potential`).
 
-For general (non-unit) weights, `build_potential` / `wdg_similarity_check`
-implement the potential-function route: balance is equivalent to weights
-factoring as ``theta(i)^-1 theta(j) c_ij`` with positive real ``c_ij``.
+Balance is equivalent to the weights factoring as
+``theta(i)^-1 theta(j) c_ij`` with positive real ``c_ij`` (``c_ij = 1`` and
+``theta = f`` with ``weight(i,j) == conj(f_i) f_j`` for unit weights).  Every
+balanced verdict, whichever method reached it, is certified the same way:
+its potential must conjugate the weighted Laplacian of the input graph onto
+the magnitude Laplacian (`wdg_similarity_check`, `potential_certified`).
 
 All checkers are pure functions of an immutable graph; distinct graphs may
 be checked concurrently.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from .graphs import (
     laplacian_entries,
     spanning_forest,
     step_weights,
-    unweighted_laplacian,
 )
 
 # Residual threshold below which a similarity / neutrality certificate is
@@ -99,8 +102,8 @@ class BalanceReport:
     same kind per weight type: for unit weight types the formation vector
     (satisfying ``weight(i,j) == conj(f_i) * f_j`` on every arc), for general
     weights the inverse-potential vector.  ``err`` is the similarity residual
-    of the certificate; ``witness`` carries a non-neutral cycle when one is
-    known.
+    of the potential certificate (`wdg_similarity_check`); ``witness``
+    carries a non-neutral cycle when one is known.
     """
 
     verdict: Verdict
@@ -196,17 +199,17 @@ def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
     return DualSolveResult(x, consistent, ortho)
 
 
-def _conjugation_residual(rows: np.ndarray, cols: np.ndarray, entries: np.ndarray,
-                          target: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+def _conjugation_residual(rows: np.ndarray, target: np.ndarray, left: np.ndarray,
+                          products: np.ndarray) -> float:
     """Frobenius norm of ``diag(left) M diag(right) - T`` from M's and T's nonzeros.
 
-    ``entries`` (shape (k, 8)) and ``target`` (shape (k,)) hold the dual
-    quaternion matrix M and the real matrix T at the 0-based positions
-    ``(rows, cols)``, which must cover every nonzero entry of both.  Every
-    other entry of the difference is an exact zero for finite ``left`` and
-    ``right``, so this is the norm over all n x n x 8 real components.
+    ``products`` (shape (k, 8)) and ``target`` (shape (k,)) hold ``M diag(right)``
+    and the real matrix T at the 0-based positions ``(rows, cols)``, which must
+    cover every nonzero entry of M and T.  Every other entry of the difference
+    is an exact zero for finite ``left`` and ``right``, so this is the norm over
+    all n x n x 8 real components.
     """
-    prod = linalg.dqmul(linalg.dqmul(left[rows], entries), right[cols])
+    prod = linalg.dqmul(left[rows], products)
     prod[:, 0] -= target
     return linalg.fr_norm(prod)
 
@@ -224,8 +227,8 @@ def similarity_residual(L_hat: np.ndarray, x: np.ndarray, L: np.ndarray) -> floa
     L_hat = np.asarray(L_hat, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
     rows, cols = np.nonzero(np.any(L_hat != 0.0, axis=2) | (L != 0.0))
-    return _conjugation_residual(rows, cols, L_hat[rows, cols], L[rows, cols],
-                                 linalg.dqconj(x), x)
+    return _conjugation_residual(rows, L[rows, cols], linalg.dqconj(x),
+                                 linalg.dqmul(L_hat[rows, cols], x[cols]))
 
 
 def _require_unit_connected(g: WeightedDigraph, method: str) -> None:
@@ -235,13 +238,14 @@ def _require_unit_connected(g: WeightedDigraph, method: str) -> None:
         raise NotConnectedError(f"{method} requires a weakly connected graph")
 
 
-def _null_space_pipeline(L_hat: np.ndarray, L_real: np.ndarray,
+def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
                          method: Method) -> BalanceReport:
-    """Shared stages 2-3: reduced solves, unit/orthogonality gates, similarity."""
-    n = L_hat.shape[0]
+    """Shared stages 2-3 for a Laplacian ``L_hat`` of ``g``: reduced solves of
+    ``L_hat x = 0``, unit/orthogonality gates, then the potential certificate
+    of ``conj(x)`` on the arcs of ``g``."""
     std = solve_standard_part(L_hat)
     if not std.reduced_full_rank:
-        if linalg.rank(linalg.dq_standard(L_hat)) < n - 1:
+        if linalg.rank(linalg.dq_standard(L_hat)) < g.n - 1:
             return BalanceReport(Verdict.INDETERMINATE, method,
                                  failure_stage=FailureStage.ASSUMPTION_RANK)
         return BalanceReport(Verdict.UNBALANCED, method,
@@ -259,13 +263,7 @@ def _null_space_pipeline(L_hat: np.ndarray, L_real: np.ndarray,
     if not dual.orthogonal:
         return BalanceReport(Verdict.UNBALANCED, method,
                              failure_stage=FailureStage.ORTHOGONALITY_CHECK)
-    x = linalg.dq_join(std.x, dual.x)
-    err = similarity_residual(L_hat, x, L_real)
-    if not err <= BALANCE_TOL:
-        return BalanceReport(Verdict.UNBALANCED, method, err=err,
-                             failure_stage=FailureStage.SIMILARITY_CHECK)
-    formation = tuple(linalg.dqvec_to_scalars(linalg.dqconj(x)))
-    return BalanceReport(Verdict.BALANCED, method, formation=formation, err=err)
+    return _potential_report(g, linalg.dqconj(linalg.dq_join(std.x, dual.x)), method)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +275,10 @@ def direct_method(g: WeightedDigraph) -> BalanceReport:
 
     Steps: (1) antiparallel weights must be mutual conjugates; (2) solve the
     reduced standard and dual systems of ``L x = 0`` with the first entry
-    pinned; (3) certify by the similarity residual against the unweighted
-    Laplacian.  A rank-deficient standard part (below n-1) leaves the null
-    space structure unknown and yields an indeterminate verdict.
+    pinned; (3) certify ``conj(x)`` as a potential (`wdg_similarity_check`):
+    it must conjugate L onto the magnitude Laplacian, which for unit weights
+    is the unweighted one.  A rank-deficient standard part (below n-1) leaves
+    the null space structure unknown and yields an indeterminate verdict.
     """
     _require_unit_connected(g, "direct_method")
     violation = check_symmetry_pairs(g)
@@ -287,8 +286,7 @@ def direct_method(g: WeightedDigraph) -> BalanceReport:
         return BalanceReport(Verdict.UNBALANCED, Method.DIRECT,
                              failure_stage=FailureStage.SYMMETRY_CHECK,
                              witness=OrientedCycle(violation, (True, True)))
-    return _null_space_pipeline(laplacian(g), unweighted_laplacian(g.graph),
-                                Method.DIRECT)
+    return _null_space_pipeline(g, laplacian(g), Method.DIRECT)
 
 
 def symmetrized_gain_graph(g: WeightedDigraph) -> WeightedDigraph:
@@ -309,7 +307,8 @@ def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
     """Decide balance by passing to the symmetrized (Hermitian) gain graph.
 
     A potential function transfers between the digraph and its
-    symmetrization, so the verdict there is the verdict here.
+    symmetrization, so the verdict there is the verdict here.  The null
+    vector solved for there is certified as a potential of the input graph.
     """
     _require_unit_connected(g, "gain_graph_method")
     violation = check_symmetry_pairs(g)
@@ -317,9 +316,7 @@ def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
         return BalanceReport(Verdict.UNBALANCED, Method.GAIN_GRAPH,
                              failure_stage=FailureStage.SYMMETRY_CHECK,
                              witness=OrientedCycle(violation, (True, True)))
-    g1 = symmetrized_gain_graph(g)
-    return _null_space_pipeline(laplacian(g1), unweighted_laplacian(g1.graph),
-                                Method.GAIN_GRAPH)
+    return _null_space_pipeline(g, laplacian(symmetrized_gain_graph(g)), Method.GAIN_GRAPH)
 
 
 def is_neutral(w: DualQuaternion, tol: float = BALANCE_TOL) -> bool:
@@ -330,41 +327,41 @@ def is_neutral(w: DualQuaternion, tol: float = BALANCE_TOL) -> bool:
             and w.d.norm() <= tol)
 
 
-def cycle_deviation(g: WeightedDigraph, cycle: OrientedCycle) -> float:
-    """How far the oriented cycle product is from neutrality.
+def _cycle_defects(g: WeightedDigraph, cycles: Sequence[OrientedCycle]) -> np.ndarray:
+    """Each cycle's distance from neutrality: ``|product - 1|`` over all components.
 
-    Distance to 1 for unit weight types, distance to the nearest
-    nonnegative real otherwise (so a negative real scores its whole
-    magnitude).
+    For general weight types every step is first divided by its standard
+    magnitude, a positive real per arc, which cannot change balance.  The
+    product then has unit standard magnitude, it is neutral exactly when it
+    is 1, and the distance does not depend on the scale of the weights.
     """
-    w = cycle_products(g, [cycle])[0]
-    w[0] -= 1.0 if g.weight_type.is_unit else max(w[0], 0.0)
-    return linalg.fr_norm(w)
+    if not g.weight_type.is_unit:
+        W = g.weight_array
+        g = replace(g, weight_array=W / np.linalg.norm(W[:, :4], axis=1, keepdims=True))
+    prod = cycle_products(g, cycles)
+    prod[:, 0] -= 1.0
+    return np.linalg.norm(prod, axis=1)
+
+
+def cycle_deviation(g: WeightedDigraph, cycle: OrientedCycle) -> float:
+    """How far the oriented cycle product is from neutrality (see `_cycle_defects`)."""
+    return float(_cycle_defects(g, [cycle])[0])
 
 
 def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport:
     """Brute-force verdict: every simple cycle's oriented product must be neutral.
 
-    Unit weight types require the product to equal 1; general weights a
-    positive real dual number, tested as by `is_neutral` once divided by its
-    standard magnitude (a positive real, so the tolerance becomes relative).
-    Returns the first offending cycle as a witness.  If enumeration hits
-    ``max_cycles`` the verdict is indeterminate.  A balanced verdict must
-    also pass the spanning-tree potential's certificate, as in
-    `wdg_similarity_method`.
+    Each cycle's `_cycle_defects` distance must be at most ``BALANCE_TOL``:
+    unit weight types require the product to equal 1, general weights a
+    positive real dual number.  Returns the first offending cycle as a
+    witness.  If enumeration hits ``max_cycles`` the verdict is
+    indeterminate.  A balanced verdict must also pass the spanning-tree
+    potential's certificate, as in `wdg_similarity_method`.
     """
     enum = enumerate_cycles(g.graph, max_cycles)
     if enum.truncated:
         return BalanceReport(Verdict.INDETERMINATE, Method.CYCLE_ORACLE)
-    prod = cycle_products(g, enum.cycles)
-    if g.weight_type.is_unit:
-        prod[:, 0] -= 1.0
-        off = np.linalg.norm(prod, axis=1) > BALANCE_TOL
-    else:
-        prod /= np.linalg.norm(prod[:, :4], axis=1, keepdims=True)
-        off = ~((prod[:, 0] > 0.0)
-                & (np.linalg.norm(prod[:, 1:4], axis=1) <= BALANCE_TOL)
-                & (np.linalg.norm(prod[:, 4:], axis=1) <= BALANCE_TOL))
+    off = ~(_cycle_defects(g, enum.cycles) <= BALANCE_TOL)
     if np.any(off):
         return BalanceReport(Verdict.UNBALANCED, Method.CYCLE_ORACLE,
                              failure_stage=FailureStage.CYCLE_FOUND,
@@ -393,9 +390,9 @@ def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     tree arcs and ``theta(parent) * weight^-1`` along backward ones, one BFS
     level at a time, each divided by its standard magnitude (a positive real,
     which the arc scalars absorb).  Every arc is then checked against
-    ``theta(i)^-1 theta(j) c_ij`` within ``BALANCE_TOL * (1 + |w|)``, with the
-    scalar its magnitude forces, ``c_ij = |w_s(i,j)|`` as every potential has
-    unit standard magnitude.
+    ``theta(i)^-1 theta(j) c_ij`` within ``BALANCE_TOL * |w|``, relative to
+    its weight at every scale, with the scalar its magnitude forces,
+    ``c_ij = |w_s(i,j)|`` as every potential has unit standard magnitude.
     """
     parent_arc, depth = forest = spanning_forest(g.graph)
     child = np.flatnonzero(parent_arc >= 0)
@@ -412,7 +409,7 @@ def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     c = np.linalg.norm(W[:, :4], axis=1)
     predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]
     bad = np.flatnonzero(np.linalg.norm(W - predicted, axis=1)
-                         > BALANCE_TOL * (1.0 + np.linalg.norm(W, axis=1)))
+                         > BALANCE_TOL * np.linalg.norm(W, axis=1))
     connected = int(np.count_nonzero(parent_arc < 0)) == 1     # one root per weak component
     return _TreePotential(theta, connected, int(bad[0]) if len(bad) else None, c, forest)
 
@@ -436,7 +433,7 @@ def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
 
 def _inverse_potential(theta: np.ndarray) -> np.ndarray:
     """Rows ``theta^-1 * |theta_s|`` (unit standard magnitude by construction)."""
-    return linalg.dqinv(theta) * np.linalg.norm(theta[:, :4], axis=1, keepdims=True)
+    return linalg.dqinv(theta / np.linalg.norm(theta[:, :4], axis=1, keepdims=True))
 
 
 def wdg_similarity_check(g: WeightedDigraph, assignment) -> tuple[float, float]:
@@ -458,22 +455,23 @@ def wdg_similarity_check(g: WeightedDigraph, assignment) -> tuple[float, float]:
         raise NonInvertibleThetaError(f"theta({int(np.argmin(appreciable)) + 1}) "
                                       "is not appreciable")
     y = _inverse_potential(theta)
+    y_inv = theta / np.linalg.norm(theta[:, :4], axis=1, keepdims=True)  # = y^-1, no second dqinv
     rows, cols, L_hat, magnitudes = laplacian_entries(g)
-    err = _conjugation_residual(rows, cols, L_hat, magnitudes, linalg.dqinv(y), y)
+    L_hat_diag_y = linalg.dqmul(L_hat, y[cols])     # both residuals start from these products
+    err = _conjugation_residual(rows, magnitudes, y_inv, L_hat_diag_y)
     L_hat_y = np.zeros_like(y)
-    np.add.at(L_hat_y, rows, linalg.dqmul(L_hat, y[cols]))
+    np.add.at(L_hat_y, rows, L_hat_diag_y)
     return err, linalg.fr_norm(L_hat_y)
 
 
 def potential_certified(g: WeightedDigraph, err: float, null_residual: float) -> bool:
     """Whether a `wdg_similarity_check` certificate passes.
 
-    Both residuals must be at most ``BALANCE_TOL * (1 + max_k |w_k|)``, the
+    Both residuals must be at most ``BALANCE_TOL * max_k |w_k|``, the
     per-arc tolerance of the potential check at the largest weight, so the
     gate scales with the weights.  NaN residuals fail.
     """
-    tol = BALANCE_TOL * (1.0 + float(np.max(np.linalg.norm(g.weight_array, axis=1),
-                                            initial=0.0)))
+    tol = BALANCE_TOL * float(np.max(np.linalg.norm(g.weight_array, axis=1), initial=0.0))
     return err <= tol and null_residual <= tol
 
 

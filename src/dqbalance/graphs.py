@@ -132,9 +132,10 @@ def _check_weights(arcs, W: np.ndarray, weight_type: WeightType) -> None:
     s, d = W[:, :4], W[:, 4:]
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.linalg.norm(s, axis=1)
+        # Finite exactly when every component is and the 8-component norm does not overflow.
+        finite = np.isfinite(np.linalg.norm(W, axis=1))
         defect = np.abs(mag - 1.0), np.abs(2.0 * np.sum(s * d, axis=1))
-    checks = [(np.isfinite(W).all(axis=1) & np.isfinite(mag),
-               NonFiniteWeightError, "weight is not finite")]
+    checks = [(finite, NonFiniteWeightError, "weight is not finite")]
     if weight_type.is_unit:
         checks.append(((defect[0] <= UNIT_TOL) & (defect[1] <= UNIT_TOL), NonUnitWeightError,
                        "weight fails unit validation (defects {0:.3g}, {1:.3g})"))

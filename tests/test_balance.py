@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dqbalance import balance, linalg
+from dqbalance import balance, graphs, linalg
 from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
 from dqbalance.balance import (
     BALANCE_TOL,
@@ -41,6 +41,7 @@ from dqbalance.generate import (
     random_switching,
 )
 from dqbalance.graphs import (
+    NonFiniteWeightError,
     WeightedDigraph,
     WeightType,
     build,
@@ -171,7 +172,7 @@ def test_direct_single_vertex():
 def test_rank_deficient_standard_part_is_indeterminate():
     # synthetic: a zero standard part leaves the null space unconstrained
     L = np.zeros((3, 3, 8))
-    report = _null_space_pipeline(L, np.zeros((3, 3)), Method.DIRECT)
+    report = _null_space_pipeline(make_cycle3(ONE, ONE, ONE), L, Method.DIRECT)
     assert report.verdict is Verdict.INDETERMINATE
     assert report.failure_stage is FailureStage.ASSUMPTION_RANK
 
@@ -363,6 +364,28 @@ def test_unit_formations_of_every_method_reproduce_the_arcs():
         report = check_balance(g, method)
         assert report.verdict is Verdict.BALANCED
         assert relative_configuration_residual(g, report.formation) <= 1e-8
+
+
+@pytest.mark.parametrize("wt", [WeightType.UNIT_DUAL_QUATERNION, WeightType.UNIT_COMPLEX])
+def test_every_balanced_verdict_carries_the_potential_certificate(monkeypatch, wt):
+    # No method certifies against the unweighted Laplacian any more: each
+    # balanced err is the potential certificate of its own formation.
+    def unused(*args):
+        raise AssertionError("a decide built a dense certificate")
+    monkeypatch.setattr(balance, "similarity_residual", unused)
+    monkeypatch.setattr(balance, "unweighted_laplacian", unused, raising=False)  # an imported copy
+    monkeypatch.setattr(graphs, "unweighted_laplacian", unused)
+    g = gen_random_balanced(12, 0.2, wt, 4, directed_spanning_tree=True)
+    for method in Method:
+        report = check_balance(g, method)
+        assert report.verdict is Verdict.BALANCED
+        assert report.err == wdg_similarity_check(g, report.formation)[0]
+
+
+def test_gain_graph_certificate_does_not_grow_with_n():
+    report = gain_graph_method(gen_cycle(200, WeightType.UNIT_DUAL_QUATERNION, 0))
+    assert report.verdict is Verdict.BALANCED
+    assert report.err < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +685,8 @@ def rescaled(g, factors):
 
 
 @pytest.mark.parametrize("n, factor", [(30, 3.0), (10, 10.0), (30, 10.0), (60, 3.0),
-                                       (200, 0.5), (200, 1.5)])
+                                       (200, 0.5), (200, 1.5), (200, 0.01), (200, 100.0),
+                                       (3, 1e153)])
 def test_oracle_accepts_rescaled_balanced_cycles(n, factor):
     # Cycle products reach factor ** n; neutrality is tested relative to that.
     # Potentials reach factor ** (n / 2) unless each one is normalised.
@@ -679,7 +703,9 @@ def test_potential_route_accepts_rescaled_random_graphs(factor):
     assert report.verdict is Verdict.BALANCED, report
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, database=None)
+@example(kind="cycle", wt=WeightType.DUAL_QUATERNION, n=3, density=0.0, seed=0, u=153.5, s=0.0)
 @given(kind=st.sampled_from(["cycle", "random"]),
        wt=st.sampled_from([WeightType.DUAL_QUATERNION, WeightType.COMPLEX, WeightType.REAL]),
        n=st.integers(3, 60), density=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1),
@@ -696,6 +722,21 @@ def test_positive_rescaling_keeps_the_potential_verdict(kind, wt, n, density, se
     assert wdg_similarity_method(g).verdict is Verdict.BALANCED
 
 
+@pytest.mark.parametrize("factor", [1e-9, 1e-10])
+def test_tiny_unbalanced_graphs_stay_unbalanced(factor):
+    # The per-arc tolerance and the gate are relative to the weights, so
+    # shrinking every weight cannot hide a perturbed arc.
+    g = gen_random_balanced(30, 0.1, WeightType.DUAL_QUATERNION, 3)
+    g = rescaled(perturb(g, cycle_arc(g), 5), factor)
+    assert wdg_similarity_method(g).verdict is Verdict.UNBALANCED
+
+
+def test_weights_whose_norm_overflows_are_rejected():
+    g = gen_cycle(3, WeightType.DUAL_QUATERNION, 1)
+    with pytest.raises(NonFiniteWeightError):
+        rescaled(g, 10.0 ** 153.5)
+
+
 def test_nan_certificates_are_not_accepted(monkeypatch):
     # `build` rejects non-finite weights, so the graph is put together directly.
     g = gen_cycle(4, WeightType.DUAL_QUATERNION, 2)
@@ -705,8 +746,8 @@ def test_nan_certificates_are_not_accepted(monkeypatch):
     assert report.verdict is Verdict.UNBALANCED
     assert report.failure_stage is FailureStage.SIMILARITY_CHECK
     u = gen_cycle(4, WeightType.UNIT_DUAL_QUATERNION, 3)
-    monkeypatch.setattr(balance, "similarity_residual", lambda *args: float("nan"))
-    report = _null_space_pipeline(laplacian(u), unweighted_laplacian(u.graph), Method.DIRECT)
+    monkeypatch.setattr(balance, "wdg_similarity_check", lambda *args: (float("nan"),) * 2)
+    report = _null_space_pipeline(u, laplacian(u), Method.DIRECT)
     assert report.verdict is Verdict.UNBALANCED
     assert report.failure_stage is FailureStage.SIMILARITY_CHECK
 
@@ -753,7 +794,7 @@ def scalar_potential_defect(g, theta):
         c.append(w.s.norm() * theta[i].s.norm() / theta[j].s.norm())
         predicted = theta[i].inverse() * theta[j] * c[-1]
         off = linalg.fr_norm((w - predicted).to_array())
-        if bad is None and off > BALANCE_TOL * (1.0 + linalg.fr_norm(w.to_array())):
+        if bad is None and off > BALANCE_TOL * linalg.fr_norm(w.to_array()):
             bad = k
     return bad, np.array(c)
 

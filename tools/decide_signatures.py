@@ -79,7 +79,8 @@ def _largest_change(a, b) -> float:
 
 
 def diff(old: list[dict], new: list[dict]) -> list[str]:
-    """Summary lines: records that differ, and the largest err/formation change per method."""
+    """Summary lines: records that differ, and per method the largest err/formation
+    change and how many errs fell, stayed or rose."""
     def key(r):
         return r["seed"], r["workload"], r["index"], r["method"]
     before = {key(r): r for r in old}
@@ -93,7 +94,7 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
         a, b = before[k], after[k]
         lines.append(f"  {k} {a['instance']}: "
                      + ", ".join(f"{f} {a[f]!r} -> {b[f]!r}" for f in SAME if a[f] != b[f]))
-    per_method = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    per_method = defaultdict(lambda: [0, 0, 0.0, 0.0, 0, 0, 0])
     for k in sorted(before.keys() & after.keys()):
         a, b = before[k], after[k]
         stats = per_method[k[3]]
@@ -101,9 +102,12 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
         stats[1] += a["err"] == b["err"] and a["formation"] == b["formation"]
         stats[2] = max(stats[2], _largest_change(a["err"], b["err"]))
         stats[3] = max(stats[3], _largest_change(a["formation"], b["formation"]))
-    for method, (count, identical, err, formation) in sorted(per_method.items()):
+        if a["err"] is not None and b["err"] is not None:   # slots 4-6: fell, stayed, rose
+            stats[4 + (b["err"] >= a["err"]) + (b["err"] > a["err"])] += 1
+    for method, (count, identical, err, formation, *moved) in sorted(per_method.items()):
         lines.append(f"{method:<16} {count:4d} decides, {identical:4d} bit-identical, "
-                     f"largest err change {err:.3g}, largest formation change {formation:.3g}")
+                     f"largest err change {err:.3g}, largest formation change {formation:.3g}; "
+                     "err fell {}, stayed {}, rose {}".format(*moved))
     return lines
 
 
