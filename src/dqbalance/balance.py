@@ -151,14 +151,13 @@ class DualSolveResult:
 # Pipeline pieces
 # ---------------------------------------------------------------------------
 
-def check_symmetry_pairs(g: WeightedDigraph,
-                         tol: float = SYMMETRY_TOL) -> tuple[int, int] | None:
+def check_symmetry_pairs(g: WeightedDigraph) -> tuple[int, int] | None:
     """First antiparallel pair whose weights are not mutual conjugates, if any."""
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     reverse = arc_positions(g.graph, heads + 1, tails + 1)
     pairs = np.flatnonzero((tails < heads) & (reverse >= 0))
     defect = np.linalg.norm(W[pairs] - linalg.dqconj(W[reverse[pairs]]), axis=1)
-    bad = pairs[defect > tol]
+    bad = pairs[defect > SYMMETRY_TOL]
     return g.arcs[bad[0]] if len(bad) else None
 
 

@@ -3,14 +3,17 @@
 Balanced instances are produced constructively: unit weights come from a
 random formation vector (``w_ij = conj(f_i) f_j``), general weights from a
 random invertible potential with positive arc scalars
-(``w_ij = theta_i^-1 theta_j c_ij``).  Every generator is deterministic per
-seed.
+(``w_ij = theta_i^-1 theta_j c_ij``).  Potentials and switchings are drawn
+one vertex at a time; all arc weights are then computed in one array
+expression on `linalg`'s kernels, the expression `balance` checks them
+against.  Every generator is deterministic per seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .algebra import DualQuaternion, Quaternion, _as_rng, random_udq, udq_from_motion
 from .balance import is_neutral
 from .graphs import (
@@ -18,7 +21,11 @@ from .graphs import (
     WeightType,
     build,
     enumerate_cycles,
+    inverse_weights,
 )
+
+# Smallest standard magnitude of a random general weight (redrawn below it).
+MIN_DRAW = 0.3
 
 
 def random_unit_dual_complex(rng: np.random.Generator) -> DualQuaternion:
@@ -33,9 +40,9 @@ def random_unit_dual_complex(rng: np.random.Generator) -> DualQuaternion:
     return udq_from_motion(rotation, Quaternion(0.0, float(rng.normal()), 0.0, 0.0))
 
 
-def _gaussian_quaternion(rng, min_norm: float = 0.3) -> Quaternion:
+def _gaussian_quaternion(rng) -> Quaternion:
     v = rng.normal(size=4)
-    while np.linalg.norm(v) < min_norm:
+    while np.linalg.norm(v) < MIN_DRAW:
         v = rng.normal(size=4)
     return Quaternion.from_array(v)
 
@@ -53,11 +60,11 @@ def random_weight(weight_type: WeightType | str, rng) -> DualQuaternion:
                               Quaternion.from_array(rng.normal(size=4)))
     if weight_type is WeightType.COMPLEX:
         a, b = rng.normal(size=2)
-        while np.hypot(a, b) < 0.3:
+        while np.hypot(a, b) < MIN_DRAW:
             a, b = rng.normal(size=2)
         return DualQuaternion.from_quaternion(Quaternion(float(a), float(b), 0.0, 0.0))
     r = float(rng.normal())
-    while abs(r) < 0.3:
+    while abs(r) < MIN_DRAW:
         r = float(rng.normal())
     return DualQuaternion.from_real(r)
 
@@ -67,11 +74,13 @@ def random_vertex_potential(n: int, weight_type: WeightType, rng) -> list[DualQu
     return [random_weight(weight_type, rng) for _ in range(n)]
 
 
-def _potential_weight(theta_i: DualQuaternion, theta_j: DualQuaternion,
-                      c: float, unit: bool) -> DualQuaternion:
-    inv = theta_i.conjugate() if unit else theta_i.inverse()
-    w = inv * theta_j
-    return w if c == 1.0 else w * c
+def _potential_graph(n: int, tails: np.ndarray, heads: np.ndarray, weight_type: WeightType,
+                     theta, c: np.ndarray) -> WeightedDigraph:
+    """Graph on the sorted 0-based arcs ``(tails, heads)`` weighted ``theta_i^-1 theta_j c_ij``."""
+    theta = np.array(theta, dtype=np.float64).reshape(n, 8)
+    W = linalg.dqmul(inverse_weights(weight_type, theta[tails]), theta[heads]) * c[:, None]
+    arcs = list(zip((tails + 1).tolist(), (heads + 1).tolist()))
+    return build(n, arcs, dict(zip(arcs, W)), weight_type)
 
 
 def gen_cycle(n: int, weight_type: WeightType | str, seed) -> WeightedDigraph:
@@ -85,11 +94,8 @@ def gen_cycle(n: int, weight_type: WeightType | str, seed) -> WeightedDigraph:
     weight_type = WeightType(weight_type)
     rng = _as_rng(seed)
     theta = random_vertex_potential(n, weight_type, rng)
-    unit = weight_type.is_unit
-    arcs = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    weights = {(i, j): _potential_weight(theta[i - 1], theta[j - 1], 1.0, unit)
-               for (i, j) in arcs}
-    return build(n, arcs, weights, weight_type)
+    tails = np.arange(n)
+    return _potential_graph(n, tails, (tails + 1) % n, weight_type, theta, np.ones(n))
 
 
 def gen_random_balanced(n: int, arc_density: float,
@@ -107,28 +113,23 @@ def gen_random_balanced(n: int, arc_density: float,
         raise ValueError("need at least one vertex")
     weight_type = WeightType(weight_type)
     rng = _as_rng(seed)
-    arcs = set()
+    taken = np.eye(n, dtype=bool)      # the loops, then every arc
     for v in range(2, n + 1):
         p = int(rng.integers(1, v))
-        if directed_spanning_tree or rng.random() < 0.5:
-            arcs.add((v, p))
-        else:
-            arcs.add((p, v))
+        arc = (v - 1, p - 1) if directed_spanning_tree or rng.random() < 0.5 else (p - 1, v - 1)
+        taken[arc] = True
     # One draw per pair that is neither a loop nor a tree arc, in row-major
     # order: the same stream as drawing pair by pair.  A row at a time keeps
     # the draws' memory O(n).
-    taken = np.eye(n, dtype=bool)
-    taken[[i - 1 for i, _ in arcs], [j - 1 for _, j in arcs]] = True
     for i in range(n):
         free = np.flatnonzero(~taken[i])
-        arcs.update((i + 1, j + 1) for j in free[rng.random(free.size) < arc_density].tolist())
-    unit = weight_type.is_unit
+        taken[i, free[rng.random(free.size) < arc_density]] = True
+    np.fill_diagonal(taken, False)
+    tails, heads = np.nonzero(taken)    # row-major: the arcs in sorted order
     theta = random_vertex_potential(n, weight_type, rng)
-    weights = {}
-    for (i, j) in sorted(arcs):
-        c = 1.0 if unit else float(np.exp(rng.normal(scale=0.3)))
-        weights[(i, j)] = _potential_weight(theta[i - 1], theta[j - 1], c, unit)
-    return build(n, sorted(arcs), weights, weight_type)
+    c = (np.ones(len(tails)) if weight_type.is_unit
+         else np.exp(rng.normal(scale=0.3, size=len(tails))))
+    return _potential_graph(n, tails, heads, weight_type, theta, c)
 
 
 def gen_tree(n: int, weight_type: WeightType | str, seed) -> WeightedDigraph:
@@ -163,16 +164,15 @@ def cycle_arc(g: WeightedDigraph) -> tuple[int, int] | None:
 def apply_switching(g: WeightedDigraph, zeta) -> WeightedDigraph:
     """Switch weights to ``zeta(i)^-1 w_ij zeta(j)``; preserves balance.
 
-    ``zeta`` maps each vertex to an invertible scalar (a unit one for unit
-    weight types, or the result will fail validation).
+    ``zeta`` maps each vertex 1..n to an invertible scalar.  ``zeta(i)^-1`` is
+    the conjugate for unit weight types and the inverse for general ones
+    (`graphs.inverse_weights`), so a non-unit ``zeta`` on a unit graph gives
+    non-unit weights, which fail validation.
     """
-    unit = g.weight_type.is_unit
-    weights = {}
-    for (i, j), w in g.weights.items():
-        zi = zeta[i]
-        inv = zi.conjugate() if unit and zi.is_unit() else zi.inverse()
-        weights[(i, j)] = inv * w * zeta[j]
-    return build(g.n, g.graph.arcs, weights, g.weight_type)
+    Z = np.array([zeta[v] for v in range(1, g.n + 1)], dtype=np.float64).reshape(g.n, 8)
+    left = inverse_weights(g.weight_type, Z[g.graph.tails])
+    W = linalg.dqmul(linalg.dqmul(left, g.weight_array), Z[g.graph.heads])
+    return build(g.n, g.arcs, dict(zip(g.arcs, W)), g.weight_type)
 
 
 def random_switching(g: WeightedDigraph, seed) -> dict[int, DualQuaternion]:

@@ -80,6 +80,11 @@ class WeightType(str, Enum):
         return self in (WeightType.COMPLEX, WeightType.REAL)
 
 
+def _is_vertex_number(v) -> bool:
+    """Python or NumPy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A loopless simple directed graph on vertices 1..n; ``arcs`` are sorted,
@@ -93,10 +98,12 @@ class Digraph:
     arc_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
+        if not (_is_vertex_number(self.n) and self.n >= 1):
+            raise ValueError(f"need a positive integer vertex count, not {self.n!r}")
         seen = set()
         for (i, j) in self.arcs:
+            if not (type(i) is type(j) is int or _is_vertex_number(i) and _is_vertex_number(j)):
+                raise ValueError(f"arc ({i!r}, {j!r}): vertex numbers must be integers")
             if i == j:
                 raise LoopArcError(f"loop arc ({i}, {i})")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -412,13 +419,18 @@ def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     return CycleEnumeration(tuple(cycles), len(raw) > max_cycles)
 
 
+def inverse_weights(weight_type: WeightType, a: np.ndarray) -> np.ndarray:
+    """Entrywise inverse of an (m, 8) array of weights: the conjugate for unit weight types."""
+    return (linalg.dqconj if weight_type.is_unit else linalg.dqinv)(a)
+
+
 def step_weights(g: WeightedDigraph, pos, forward) -> np.ndarray:
     """Shadow elements of steps over the arcs ``pos``: the weight where ``forward``,
-    else its inverse (the conjugate for unit weight types).  Shape (len(pos), 8).
+    else its inverse (`inverse_weights`).  Shape (len(pos), 8).
     """
     steps = g.weight_array[pos]
     back = ~np.asarray(forward, dtype=bool)
-    steps[back] = (linalg.dqconj if g.weight_type.is_unit else linalg.dqinv)(steps[back])
+    steps[back] = inverse_weights(g.weight_type, steps[back])
     return steps
 
 

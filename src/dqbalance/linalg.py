@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import DualQuaternion, NotAppreciableError
+from .algebra import APPRECIABLE_TOL, DualQuaternion, NotAppreciableError
 
 # Relative cutoff for singular values when ranking / solving.
 RANK_TOL = 1e-10
@@ -174,7 +174,7 @@ class QuatLeastSquares:
     column of its minimum-norm solution is the adjoint of the quaternion one.
     """
 
-    def __init__(self, A: np.ndarray, tol: float = RANK_TOL):
+    def __init__(self, A: np.ndarray):
         A = _check_qmat(A)
         self.m, self.n = A.shape[:2]
         C = complex_adjoint(A)
@@ -185,7 +185,7 @@ class QuatLeastSquares:
             self.rank = 0
             return
         u, s, vh = np.linalg.svd(C, full_matrices=False)
-        keep = s > tol * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+        keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
         self._u = u[:, keep]
         self._s = s[keep]
         self._vh = vh[keep]
@@ -222,7 +222,7 @@ def is_consistent(residual: float, b: np.ndarray) -> bool:
     return residual <= SOLVE_TOL * (1.0 + float(np.linalg.norm(b)))
 
 
-def rank(A: np.ndarray, tol: float = RANK_TOL) -> int:
+def rank(A: np.ndarray) -> int:
     """Quaternion rank: rank of the complex adjoint divided by two."""
     A = _check_qmat(A)
     if A.size == 0:
@@ -230,7 +230,7 @@ def rank(A: np.ndarray, tol: float = RANK_TOL) -> int:
     s = np.linalg.svd(complex_adjoint(A), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    complex_rank = int(np.count_nonzero(s > tol * s[0]))
+    complex_rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return int(round(complex_rank / 2))
 
 
@@ -267,12 +267,12 @@ def dqmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([s, d], axis=-1)
 
 
-def dqinv(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Entrywise inverse; every entry must be appreciable."""
+def dqinv(a: np.ndarray) -> np.ndarray:
+    """Entrywise inverse; every entry must be appreciable (``APPRECIABLE_TOL``)."""
     a = np.asarray(a, dtype=np.float64)
     s, d = a[..., :4], a[..., 4:]
     n2 = np.sum(s * s, axis=-1, keepdims=True)
-    if np.any(n2 <= tol ** 2):
+    if np.any(n2 <= APPRECIABLE_TOL ** 2):
         raise NotAppreciableError("entrywise inverse requires appreciable entries")
     si = qconj(s) / n2
     return np.concatenate([si, -qmul(qmul(si, d), si)], axis=-1)

@@ -11,8 +11,9 @@ Graph files look like::
       ]
     }
 
-Weights are eight floats (standard then dual quaternion part); floats
-round-trip bit-exactly through ``json``.
+``n``, ``tail`` and ``head`` are integers.  Weights are eight numbers
+(standard then dual quaternion part); floats round-trip bit-exactly through
+``json``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import numpy as np
 
 from .balance import BalanceReport
-from .graphs import OrientedCycle, WeightedDigraph, build
+from .graphs import OrientedCycle, WeightedDigraph, WeightType, build
 
 
 class GraphFormatError(ValueError):
@@ -38,17 +39,27 @@ def graph_to_obj(g: WeightedDigraph) -> dict:
     }
 
 
+def _integer(value):
+    """A JSON integer as is; anything else (a bool, float or string) raises."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def graph_from_obj(obj) -> WeightedDigraph:
     try:
-        n = int(obj["n"])
-        weight_type = obj["weight_type"]
-        arcs = [(int(entry["tail"]), int(entry["head"])) for entry in obj["arcs"]]
-        rows = np.array([(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]],
-                        dtype=np.float64)
+        n = _integer(obj["n"])
+        weight_type = WeightType(obj["weight_type"])
+        arcs = [(_integer(entry["tail"]), _integer(entry["head"])) for entry in obj["arcs"]]
+        # No dtype, so that numpy keeps a string or null component as such
+        # instead of converting it to a float.
+        rows = np.array([(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc!r}") from None
     if arcs and rows.shape[1:] != (2, 4):
         raise GraphFormatError("weight parts must have four components each")
+    if arcs and rows.dtype.kind not in "iuf":
+        raise GraphFormatError(f"weight components must be numbers, got {rows.dtype}")
     return build(n, arcs, dict(zip(arcs, rows.reshape(len(arcs), 8))), weight_type)
 
 

@@ -97,6 +97,14 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     assert "JSON" in err or "json" in err
 
 
+def test_unknown_weight_type_in_a_graph_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "weight_type": "octonion", "arcs": []}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 4
+    assert "octonion" in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/g.json")
     assert code == 4

@@ -3,17 +3,20 @@ import pytest
 
 from dqbalance.balance import Verdict, cycle_oracle, direct_method, wdg_similarity_method
 from dqbalance.generate import (
-    _potential_weight,
+    _potential_graph,
+    apply_switching,
     cycle_arc,
     gen_cycle,
     gen_random_balanced,
     gen_tree,
     perturb,
+    random_switching,
     random_vertex_potential,
     random_weight,
 )
 from dqbalance.graphs import (
     ArcNotFoundError,
+    NonUnitWeightError,
     WeightType,
     build,
     has_directed_spanning_tree,
@@ -46,8 +49,10 @@ def test_gen_cycle_all_types_balanced():
 
 
 def test_identity_potential_gives_identity_weights():
-    assert _potential_weight(ONE, ONE, 1.0, True) == ONE
-    assert _potential_weight(ONE, ONE, 1.0, False) == ONE
+    tails = np.arange(3)
+    for wt in ALL_TYPES:
+        g = _potential_graph(3, tails, (tails + 1) % 3, wt, [ONE] * 3, np.ones(3))
+        assert all(w == ONE for w in g.weights.values()), wt
 
 
 def test_gen_cycle_deterministic():
@@ -132,8 +137,27 @@ def test_random_weight_validates():
             build(2, [(1, 2)], {(1, 2): w}, wt)
 
 
+def scalar_potential_weight(theta_i, theta_j, c, unit):
+    """Reference: one arc weight ``theta_i^-1 theta_j c`` in scalar arithmetic."""
+    inv = theta_i.conjugate() if unit else theta_i.inverse()
+    w = inv * theta_j
+    return w if c == 1.0 else w * c
+
+
+def assert_matches_reference(g, weights):
+    """Bit for bit on unit types; within 1e-13 |w| on general ones, whose array
+    inverse squares with ``x * x`` where the scalar one calls ``x ** 2``."""
+    ref = np.array([weights[a].to_array() for a in g.arcs]).reshape(-1, 8)
+    if g.weight_type.is_unit:
+        assert g.weight_array.tobytes() == ref.tobytes()
+    else:
+        defect = np.linalg.norm(g.weight_array - ref, axis=1)
+        assert np.all(defect <= 1e-13 * np.linalg.norm(ref, axis=1))
+
+
 def pairwise_random_balanced(n, arc_density, weight_type, seed, dst):
-    """Reference: the extra arcs drawn one ordered pair at a time."""
+    """Reference: the extra arcs drawn one ordered pair at a time, the weights
+    one scalar product per arc."""
     rng = np.random.default_rng(seed)
     arcs = set()
     for v in range(2, n + 1):
@@ -145,9 +169,9 @@ def pairwise_random_balanced(n, arc_density, weight_type, seed, dst):
                 arcs.add((i, j))
     unit = weight_type.is_unit
     theta = random_vertex_potential(n, weight_type, rng)
-    weights = {(i, j): _potential_weight(theta[i - 1], theta[j - 1],
-                                         1.0 if unit else float(np.exp(rng.normal(scale=0.3))),
-                                         unit)
+    weights = {(i, j): scalar_potential_weight(
+                   theta[i - 1], theta[j - 1],
+                   1.0 if unit else float(np.exp(rng.normal(scale=0.3))), unit)
                for (i, j) in sorted(arcs)}
     return sorted(arcs), weights, rng.random()
 
@@ -159,6 +183,31 @@ def test_gen_random_balanced_draws_the_pairwise_stream(n):
         g = gen_random_balanced(n, 0.2, wt, rng, directed_spanning_tree=bool(k % 2))
         arcs, weights, next_draw = pairwise_random_balanced(n, 0.2, wt, 100 + k, bool(k % 2))
         assert list(g.arcs) == arcs
-        assert g.weight_array.tobytes() == np.array(
-            [weights[a].to_array() for a in arcs]).reshape(-1, 8).tobytes()
+        assert_matches_reference(g, weights)
         assert rng.random() == next_draw
+
+
+@pytest.mark.parametrize("wt", ALL_TYPES)
+@pytest.mark.parametrize("n", [3, 4, 60])
+def test_gen_cycle_matches_the_scalar_reference(wt, n):
+    theta = random_vertex_potential(n, wt, np.random.default_rng(n))
+    weights = {(i, i % n + 1): scalar_potential_weight(theta[i - 1], theta[i % n], 1.0, wt.is_unit)
+               for i in range(1, n + 1)}
+    assert_matches_reference(gen_cycle(n, wt, n), weights)
+
+
+@pytest.mark.parametrize("wt", ALL_TYPES)
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_apply_switching_matches_the_scalar_reference(wt, n):
+    g = gen_random_balanced(n, 0.2, wt, 50 + n)
+    zeta = random_switching(g, 60 + n)
+    weights = {(i, j): (zeta[i].conjugate() if wt.is_unit else zeta[i].inverse()) * w * zeta[j]
+               for (i, j), w in g.weights.items()}
+    assert_matches_reference(apply_switching(g, zeta), weights)
+
+
+@pytest.mark.parametrize("wt", [WeightType.UNIT_DUAL_QUATERNION, WeightType.UNIT_COMPLEX])
+def test_switching_a_unit_graph_by_a_non_unit_function_is_rejected(wt):
+    g = gen_cycle(4, wt, 1)
+    with pytest.raises(NonUnitWeightError):
+        apply_switching(g, {v: ONE * 2.0 for v in range(1, g.n + 1)})

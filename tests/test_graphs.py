@@ -63,6 +63,12 @@ def test_build_rejects_loops_and_duplicates():
         Digraph(3, ((1, 1),))
     with pytest.raises(DuplicateArcError):
         Digraph(3, ((1, 2), (1, 2)))
+    for arc in [(1, 2.5), (1, 2.0), (True, 2), (1, np.True_), ("1", 2)]:
+        with pytest.raises(ValueError, match=rf"^arc \({arc[0]!r}, {arc[1]!r}\)"):
+            Digraph(3, ((2, 3), arc))
+    assert Digraph(3, ((np.int64(1), np.int32(2)),)).arcs == ((1, 2),)
+    with pytest.raises(ValueError, match="positive integer vertex count"):
+        Digraph(3.5, ((1, 2),))
 
 
 def test_build_rejects_non_unit_weight():

@@ -47,15 +47,27 @@ def test_graph_file_layout():
     assert len(entry["w"]["s"]) == 4 and len(entry["w"]["d"]) == 4
 
 
+def one_arc_document(**changes):
+    """A valid one-arc real graph, with top-level, arc or weight entries replaced."""
+    arc = {"tail": 1, "head": 2, "w": {"s": [1.0, 0.0, 0.0, 0.0], "d": [0.0] * 4}}
+    obj = {"n": 3, "weight_type": "real", "arcs": [arc]}
+    for key, value in changes.items():
+        (obj if key in obj else arc if key in arc else arc["w"])[key] = value
+    return obj
+
+
 def test_malformed_documents():
     with pytest.raises(GraphFormatError):
         loads_graph("{not json")
     with pytest.raises(GraphFormatError):
         graph_from_obj({"n": 2, "arcs": [{"tail": 1}]})
-    with pytest.raises(GraphFormatError):
-        graph_from_obj({"n": 2, "weight_type": "real",
-                        "arcs": [{"tail": 1, "head": 2,
-                                  "w": {"s": [1.0], "d": [0.0]}}]})
+    graph_from_obj(one_arc_document())
+    for bad in [{"s": [1.0], "d": [0.0]},
+                {"n": 3.9}, {"n": "3"}, {"n": True}, {"tail": 1.7}, {"head": True},
+                {"head": "2"}, {"s": ["1", 0, 0, 0]}, {"d": [None, 0, 0, 0]},
+                {"weight_type": "octonion"}]:
+        with pytest.raises(GraphFormatError):
+            graph_from_obj(one_arc_document(**bad))
 
 
 def test_loaded_graph_checks_like_original():

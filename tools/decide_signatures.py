@@ -2,9 +2,11 @@
 
 Runs each (instance, method) pair of the three benchmark workloads once per
 seed, gates it as the benchmark does, and writes one JSON record per decide:
-workload, instance, method, verdict, failure stage, witness, err, formation
-and gate outcome.  Comparing the records of two checkouts shows whether a
-change kept every verdict and by how much it moved the residuals.
+workload, instance, the SHA-256 digest and weight type of the instance
+document, method, verdict, failure stage, witness, err, formation and gate
+outcome.  Comparing the records of two checkouts shows whether a change kept
+every verdict, by how much it moved the residuals, and whether it changed the
+generated inputs.
 
     python3 tools/decide_signatures.py --seeds 1,2,3 --out new.json
     python3 tools/decide_signatures.py --root ../parent --seeds 1,2,3 --out old.json
@@ -18,6 +20,7 @@ changed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -39,8 +42,10 @@ def _load(root: Path):
     return gate, workloads, serialize
 
 
-def _record(seed, workload, index, inst, method, outcome, failure) -> dict:
+def _record(seed, workload, index, inst, g, method, outcome, failure) -> dict:
     rec = {"seed": seed, "workload": workload, "index": index, "instance": inst.name,
+           "doc_sha256": hashlib.sha256(inst.doc.encode()).hexdigest(),
+           "weight_type": g.weight_type.value,
            "method": method, "gate": "pass" if failure is None else failure.stage}
     if isinstance(outcome, Exception):
         return {**rec, "verdict": f"raise {type(outcome).__name__}", "failure_stage": None,
@@ -63,7 +68,7 @@ def record(root: Path, seeds: list[int]) -> list[dict]:
                 for method in inst.methods:
                     outcome = workloads.decide(inst.doc, method)
                     failure = gate.check(g, inst.balanced, outcome)
-                    out.append(_record(seed, name, index, inst, method, outcome, failure))
+                    out.append(_record(seed, name, index, inst, g, method, outcome, failure))
     return out
 
 
@@ -78,15 +83,35 @@ def _largest_change(a, b) -> float:
     return abs(a - b)
 
 
+def _document_lines(old: list[dict], new: list[dict]) -> list[str]:
+    """How many of the instance documents that both record sets hold differ, per weight type."""
+    def documents(records):
+        return {(r["seed"], r["workload"], r["index"]): r for r in records}
+    before, after = documents(old), documents(new)
+    both = before.keys() & after.keys()
+    undigested = [k for k in both if "doc_sha256" not in before[k] or "doc_sha256" not in after[k]]
+    per_type = defaultdict(lambda: [0, 0])              # weight type: [documents, differ]
+    for k in both.difference(undigested):
+        stats = per_type[after[k]["weight_type"]]
+        stats[0] += 1
+        stats[1] += before[k]["doc_sha256"] != after[k]["doc_sha256"]
+    count = sum(n for n, _ in per_type.values())
+    differ = sum(moved for _, moved in per_type.values())
+    return ([f"documents that differ: {differ} of {count}"
+             + (f" ({len(undigested)} more without a digest)" if undigested else "")]
+            + [f"  {wt:<22} {moved:4d} of {n:4d}" for wt, (n, moved) in sorted(per_type.items())])
+
+
 def diff(old: list[dict], new: list[dict]) -> list[str]:
-    """Summary lines: records that differ, and per method the largest err/formation
-    change and how many errs fell, stayed or rose."""
+    """Summary lines: instance documents and records that differ, and per method
+    the largest err/formation change and how many errs fell, stayed or rose."""
     def key(r):
         return r["seed"], r["workload"], r["index"], r["method"]
     before = {key(r): r for r in old}
     after = {key(r): r for r in new}
     lines = [f"records: {len(before)} old, {len(after)} new, "
              f"{len(before.keys() & after.keys())} in both"]
+    lines += _document_lines(old, new)
     differ = [k for k in sorted(before.keys() & after.keys())
               if any(before[k][f] != after[k][f] for f in SAME)]
     lines.append(f"differ in verdict, failure stage, witness or gate: {len(differ)}")
