@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for the unit dual quaternion validation (on both |s| - 1 and
-# the scalar 2*Re(s * conj(d))); two orders looser than the accumulation
-# noise observed for chains of ~500 products.
+# Tolerance for the unit dual quaternion validation (on |s| - 1 and on the
+# scalar 2*Re(s * conj(d)) relative to the 8-component norm |w|); two orders
+# looser than the accumulation noise observed for chains of ~500 products.
 UNIT_TOL = 1e-9
 
 # Standard parts with norm below this floor are treated as zero when
@@ -211,8 +211,11 @@ class DualQuaternion:
         return DualQuaternion(si, -1.0 * (si * self.d * si))
 
     def unit_defect(self) -> tuple[float, float]:
-        """Deviations (| |s| - 1 |, |2*Re(s*conj(d))|) from the unit conditions."""
-        return abs(self.s.norm() - 1.0), abs(2.0 * self.s.dot(self.d))
+        """Deviations from the unit conditions: | |s| - 1 |, and |2*Re(s*conj(d))|
+        relative to the 8-component norm |w|, since its rounding grows with |d|."""
+        ns = self.s.norm()
+        norm = math.hypot(ns, self.d.norm()) or 1.0
+        return abs(ns - 1.0), abs(2.0 * self.s.dot(self.d)) / norm
 
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
         a, b = self.unit_defect()
@@ -250,7 +253,7 @@ class UnitDualQuaternion(DualQuaternion):
         a, b = self.unit_defect()
         if a > UNIT_TOL or b > UNIT_TOL:
             raise NotUnitError(
-                f"unit validation failed: | |s|-1 | = {a:.3g}, |2 Re(s d*)| = {b:.3g}")
+                f"unit validation failed: | |s|-1 | = {a:.3g}, |2 Re(s d*)| / |w| = {b:.3g}")
 
     def __mul__(self, other):
         prod = DualQuaternion.__mul__(self, other)

@@ -52,7 +52,8 @@ from .graphs import (
 # accepted as balanced.
 BALANCE_TOL = 1e-8
 
-# Componentwise tolerances for the intermediate checks of the pipeline.
+# Tolerances for the intermediate checks of the pipeline, the symmetry and
+# orthogonality ones relative to the 8-component norm of their weight or entry.
 SYMMETRY_TOL = 1e-8
 UNIT_CHECK_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-8
@@ -152,12 +153,12 @@ class DualSolveResult:
 # ---------------------------------------------------------------------------
 
 def check_symmetry_pairs(g: WeightedDigraph) -> tuple[int, int] | None:
-    """First antiparallel pair whose weights are not mutual conjugates, if any."""
+    """First antiparallel pair with ``|w_ij - conj(w_ji)| > SYMMETRY_TOL * |w_ij|``, if any."""
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     reverse = arc_positions(g.graph, heads + 1, tails + 1)
     pairs = np.flatnonzero((tails < heads) & (reverse >= 0))
     defect = np.linalg.norm(W[pairs] - linalg.dqconj(W[reverse[pairs]]), axis=1)
-    bad = pairs[defect > SYMMETRY_TOL]
+    bad = pairs[defect > SYMMETRY_TOL * np.linalg.norm(W[pairs], axis=1)]
     return g.arcs[bad[0]] if len(bad) else None
 
 
@@ -188,13 +189,15 @@ def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
     The right-hand side is ``-(dual part of L) @ x_s``; the coefficient
     matrix is the same reduced standard block as in stage one, so ``solver``
     is stage one's factorization of it.  ``orthogonal`` records whether
-    ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry.
+    ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry, within
+    ``ORTHOGONALITY_TOL`` times the entry's 8-component norm.
     """
     rhs = -linalg.qmat_mul(linalg.dq_dual(L), x_s[:, None, :])[:, 0, :]
     x2, residual = solver.solve(rhs)
     consistent = linalg.is_consistent(residual, rhs)
     x = np.vstack([np.zeros((1, 4)), x2])
-    ortho = bool(np.max(np.abs(2.0 * np.sum(x_s * x, axis=1))) <= ORTHOGONALITY_TOL)
+    defect = np.abs(2.0 * np.sum(x_s * x, axis=1))
+    ortho = bool(np.all(defect <= ORTHOGONALITY_TOL * np.linalg.norm(np.hstack([x_s, x]), axis=1)))
     return DualSolveResult(x, consistent, ortho)
 
 
@@ -243,12 +246,11 @@ def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
     ``L_hat x = 0``, unit/orthogonality gates, then the potential certificate
     of ``conj(x)`` on the arcs of ``g``."""
     std = solve_standard_part(L_hat)
-    if not std.reduced_full_rank:
-        if linalg.rank(linalg.dq_standard(L_hat)) < g.n - 1:
-            return BalanceReport(Verdict.INDETERMINATE, method,
-                                 failure_stage=FailureStage.ASSUMPTION_RANK)
-        return BalanceReport(Verdict.UNBALANCED, method,
-                             failure_stage=FailureStage.STANDARD_SOLVE)
+    # rank([c1 C]) = rank(C) + 1 exactly when C x2 = -c1 is inconsistent, so a
+    # deficient C leaves rank n - 1 only if one short and inconsistent.
+    if not std.reduced_full_rank and (std.consistent or std.solver.rank != 4 * (g.n - 2)):
+        return BalanceReport(Verdict.INDETERMINATE, method,
+                             failure_stage=FailureStage.ASSUMPTION_RANK)
     if not std.consistent:
         return BalanceReport(Verdict.UNBALANCED, method,
                              failure_stage=FailureStage.STANDARD_SOLVE)

@@ -138,10 +138,11 @@ def _check_weights(arcs, W: np.ndarray, weight_type: WeightType) -> None:
     """Raise, naming the arc, for the first arc whose weight fails a check (in listed order)."""
     s, d = W[:, :4], W[:, 4:]
     with np.errstate(over="ignore", invalid="ignore"):
-        mag = np.linalg.norm(s, axis=1)
+        mag, norm = np.linalg.norm(s, axis=1), np.linalg.norm(W, axis=1)
         # Finite exactly when every component is and the 8-component norm does not overflow.
-        finite = np.isfinite(np.linalg.norm(W, axis=1))
-        defect = np.abs(mag - 1.0), np.abs(2.0 * np.sum(s * d, axis=1))
+        finite = np.isfinite(norm)
+        # The rule of `DualQuaternion.unit_defect`: the dual condition relative to |w|.
+        defect = np.abs(mag - 1.0), np.abs(2.0 * np.sum(s * d, axis=1)) / norm
     checks = [(finite, NonFiniteWeightError, "weight is not finite")]
     if weight_type.is_unit:
         checks.append(((defect[0] <= UNIT_TOL) & (defect[1] <= UNIT_TOL), NonUnitWeightError,
@@ -390,12 +391,11 @@ def _directions(g: Digraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return forward
 
 
-def _canonical_vertices(cycle: Sequence[int]) -> tuple[int, ...]:
-    k = len(cycle)
+def _canonical_vertices(cycle: list[int]) -> tuple[int, ...]:
+    """The cycle from its smallest vertex, in the lexicographically smaller direction."""
     p = cycle.index(min(cycle))
-    fwd = tuple(cycle[(p + t) % k] for t in range(k))
-    rev = tuple(cycle[(p - t) % k] for t in range(k))
-    return min(fwd, rev)
+    fwd = cycle[p:] + cycle[:p]
+    return tuple(min(fwd, fwd[:1] + fwd[:0:-1]))
 
 
 def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:

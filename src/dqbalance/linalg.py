@@ -15,13 +15,19 @@ to the (Hermitian) transpose, which is what lets ordinary real or complex
 solvers handle quaternion linear systems.  The solvers use the complex
 adjoint: it has the same singular values (each twice instead of four times)
 at half the dimension.
+
+The Hamilton product is written once, in `qmul`.  Its structure table
+``T[c, d] = e_c e_d`` on the basis quaternions, taken from `qmul`, gives
+``(a b)_r = sum_cd a_c b_d T[c, d, r]``; `qmat_mul` and `real_expand` are
+contractions with it.  The rank cutoff (`RANK_TOL`, relative to the largest
+singular value) lives in `QuatLeastSquares` alone, and `rank` reads it there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import APPRECIABLE_TOL, DualQuaternion, NotAppreciableError
+from .algebra import APPRECIABLE_TOL, DualQuaternion, NotAppreciableError, Quaternion
 
 # Relative cutoff for singular values when ranking / solving.
 RANK_TOL = 1e-10
@@ -29,21 +35,6 @@ RANK_TOL = 1e-10
 # A linear system counts as consistent when the least-squares residual is
 # below SOLVE_TOL * (1 + |b|).
 SOLVE_TOL = 1e-8
-
-# Component permutation and sign pattern of the left-multiplication real
-# representation; row r, block-column c holds sign[r][c] * A[comp[r][c]].
-_EXPAND_COMP = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_EXPAND_SIGN = ((1.0, -1.0, -1.0, -1.0),
-                (1.0, 1.0, -1.0, 1.0),
-                (1.0, 1.0, 1.0, -1.0),
-                (1.0, -1.0, 1.0, 1.0))
-
-# Hamilton product as component sums: (a b)_r = sum_c sign[r][c] * a_c * b_comp[r][c].
-# Same permutations as the expansion; the signs ride on the left factor's index.
-_PROD_SIGN = ((1.0, -1.0, -1.0, -1.0),
-              (1.0, 1.0, 1.0, -1.0),
-              (1.0, -1.0, 1.0, 1.0),
-              (1.0, 1.0, -1.0, 1.0))
 
 
 class ShapeMismatchError(ValueError):
@@ -89,17 +80,21 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
+# Structure table of the Hamilton product, (a b)_r = sum_cd a_c b_d T[c, d, r]:
+# T[c, d] is the product of the basis quaternions e_c e_d.
+_PRODUCT = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+
+
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Quaternion matrix product, (m,n,4) @ (n,k,4) -> (m,k,4)."""
     A = _check_qmat(A)
     B = _check_qmat(B, "B")
     if A.shape[1] != B.shape[0]:
         raise ShapeMismatchError(f"inner dimensions differ: {A.shape} vs {B.shape}")
-    cols = []
-    for comp, sign in zip(_EXPAND_COMP, _PROD_SIGN):
-        Bp = B[:, :, comp] * np.asarray(sign)
-        cols.append(np.einsum("isc,skc->ik", A, Bp))
-    return np.stack(cols, axis=-1)
+    m, (n, k) = len(A), B.shape[:2]
+    # Row (s, c) of the right factor: the components of e_c B_sk, for every k.
+    right = np.einsum("skd,cdr->sckr", B, _PRODUCT).reshape(4 * n, 4 * k)
+    return (A.reshape(m, 4 * n) @ right).reshape(m, k, 4)
 
 
 def qmat_conj_transpose(A: np.ndarray) -> np.ndarray:
@@ -125,8 +120,8 @@ def real_expand(A: np.ndarray) -> np.ndarray:
     real_expand(A*) == real_expand(A).T.
     """
     A = _check_qmat(A)
-    return np.block([[s * A[:, :, c] for c, s in zip(comp, sign)]
-                     for comp, sign in zip(_EXPAND_COMP, _EXPAND_SIGN)])
+    m, n = A.shape[:2]
+    return np.einsum("ijc,cdr->ridj", A, _PRODUCT).reshape(4 * m, 4 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +172,8 @@ class QuatLeastSquares:
     def __init__(self, A: np.ndarray):
         A = _check_qmat(A)
         self.m, self.n = A.shape[:2]
-        C = complex_adjoint(A)
-        if min(C.shape) == 0:
-            self._u = np.zeros((C.shape[0], 0), dtype=complex)
-            self._s = np.zeros(0)
-            self._vh = np.zeros((0, C.shape[1]), dtype=complex)
-            self.rank = 0
-            return
-        u, s, vh = np.linalg.svd(C, full_matrices=False)
-        keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+        u, s, vh = np.linalg.svd(complex_adjoint(A), full_matrices=False)
+        keep = s > RANK_TOL * s.max(initial=0.0)
         self._u = u[:, keep]
         self._s = s[keep]
         self._vh = vh[keep]
@@ -223,15 +211,8 @@ def is_consistent(residual: float, b: np.ndarray) -> bool:
 
 
 def rank(A: np.ndarray) -> int:
-    """Quaternion rank: rank of the complex adjoint divided by two."""
-    A = _check_qmat(A)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(complex_adjoint(A), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    complex_rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    return int(round(complex_rank / 2))
+    """Quaternion rank: the rank `QuatLeastSquares` keeps, in quaternion columns."""
+    return QuatLeastSquares(A).rank // 4
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +280,8 @@ def dqmat_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dqvec_to_scalars(v: np.ndarray) -> list[DualQuaternion]:
-    return [DualQuaternion.from_array(row) for row in np.asarray(v, dtype=np.float64)]
+    return [DualQuaternion(Quaternion(*row[:4]), Quaternion(*row[4:]))
+            for row in np.asarray(v, dtype=np.float64).tolist()]
 
 
 def fr_norm(M: np.ndarray) -> float:

@@ -19,6 +19,7 @@ Graph files look like::
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -51,15 +52,19 @@ def graph_from_obj(obj) -> WeightedDigraph:
         n = _integer(obj["n"])
         weight_type = WeightType(obj["weight_type"])
         arcs = [(_integer(entry["tail"]), _integer(entry["head"])) for entry in obj["arcs"]]
+        parts = [(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]]
         # No dtype, so that numpy keeps a string or null component as such
-        # instead of converting it to a float.
-        rows = np.array([(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]])
+        # instead of converting it to a float.  A boolean beside numbers it
+        # would read as 0 or 1, so the component types are taken in one pass.
+        rows = np.array(parts)
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc!r}") from None
     if arcs and rows.shape[1:] != (2, 4):
         raise GraphFormatError("weight parts must have four components each")
-    if arcs and rows.dtype.kind not in "iuf":
-        raise GraphFormatError(f"weight components must be numbers, got {rows.dtype}")
+    if arcs and (rows.dtype.kind not in "iuf" or bool in kinds):
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise GraphFormatError(f"weight components must be numbers, got {names}")
     return build(n, arcs, dict(zip(arcs, rows.reshape(len(arcs), 8))), weight_type)
 
 

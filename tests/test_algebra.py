@@ -120,6 +120,19 @@ def test_motion_random_units(rng):
         assert abs(m.s - 1.0) < 1e-12 and abs(m.d) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e8])
+def test_motion_accepts_large_translations(rng, scale):
+    # The rounding of 2 Re(s d*) grows with the translation, so it is judged
+    # relative to |w|; against an absolute 1e-9 about 1 in 10 of these draws
+    # failed at 1e7 and 2 in 3 at 1e8.
+    for _ in range(200):
+        r = rng.normal(size=4)
+        r /= np.linalg.norm(r)
+        q = udq_from_motion(Quaternion.from_array(r),
+                            Quaternion(0, *rng.normal(scale=scale, size=3)))
+        assert q.unit_defect()[1] <= 1e-14
+
+
 def test_motion_rejects_bad_inputs():
     with pytest.raises(NotUnitError):
         udq_from_motion(Quaternion(2, 0, 0, 0), Q_ZERO)

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dqbalance import balance, graphs, linalg
-from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
+from dqbalance.algebra import DualQuaternion, Quaternion, random_udq, udq_from_motion
 from dqbalance.balance import (
     BALANCE_TOL,
     FailureStage,
@@ -175,6 +175,40 @@ def test_rank_deficient_standard_part_is_indeterminate():
     report = _null_space_pipeline(make_cycle3(ONE, ONE, ONE), L, Method.DIRECT)
     assert report.verdict is Verdict.INDETERMINATE
     assert report.failure_stage is FailureStage.ASSUMPTION_RANK
+
+
+def two_svd_rank_rule(L):
+    """Verdict for a rank-deficient reduced block from a second SVD of the whole
+    standard part, its rank rounded from the adjoint's (the reference rule)."""
+    s = np.linalg.svd(linalg.complex_adjoint(linalg.dq_standard(L)), compute_uv=False)
+    kept = int(np.count_nonzero(s > linalg.RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    if int(round(kept / 2)) < L.shape[0] - 1:
+        return Verdict.INDETERMINATE, FailureStage.ASSUMPTION_RANK
+    return Verdict.UNBALANCED, FailureStage.STANDARD_SOLVE
+
+
+def test_deficient_reduced_blocks_match_the_two_svd_rank_rule():
+    # Sparse random unit graphs, a quarter with a directed spanning tree, a
+    # quarter balanced and the rest with some arcs redrawn: multi-sink graphs
+    # give deficient blocks of both kinds.
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for trial in range(800):
+        wt = (WeightType.UNIT_DUAL_QUATERNION, WeightType.UNIT_COMPLEX)[trial % 2]
+        g = gen_random_balanced(int(rng.integers(3, 9)), float(rng.uniform(0.0, 0.2)), wt,
+                                rng, directed_spanning_tree=trial % 4 == 0)
+        if trial % 4:
+            for k in rng.choice(len(g.arcs), size=int(rng.integers(1, len(g.arcs) + 1)),
+                                replace=False):
+                g = perturb(g, g.arcs[k], rng)
+        L = laplacian(g)
+        if solve_standard_part(L).reduced_full_rank:
+            continue
+        report = _null_space_pipeline(g, L, Method.DIRECT)
+        assert (report.verdict, report.failure_stage) == two_svd_rank_rule(L), g.arcs
+        outcomes.append(report.verdict)
+    assert len(outcomes) >= 200
+    assert Verdict.INDETERMINATE in outcomes and Verdict.UNBALANCED in outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +765,45 @@ def test_tiny_unbalanced_graphs_stay_unbalanced(factor):
     assert wdg_similarity_method(g).verdict is Verdict.UNBALANCED
 
 
+def far_formation_graph(n, arcs, scale, seed):
+    """Unit weights conj(f_i) f_j from rigid motions with translations ~ ``scale``."""
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(n, 4))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    f = np.array([udq_from_motion(Quaternion.from_array(r[v]),
+                                  Quaternion(0.0, *rng.normal(scale=scale, size=3))).to_array()
+                  for v in range(n)])
+    tails, heads = (np.array(ends) - 1 for ends in zip(*arcs))
+    W = linalg.dqmul(linalg.dqconj(f[tails]), f[heads])
+    return build(n, arcs, dict(zip(arcs, W)), WeightType.UNIT_DUAL_QUATERNION)
+
+
+@pytest.mark.parametrize("scale", [1e6, 3e6])
+@pytest.mark.parametrize("seed", range(5))
+def test_far_formations_are_balanced_under_every_method(scale, seed):
+    # A directed 30-cycle plus two chords.  The unit, orthogonality and
+    # symmetry defects grow with the translations, so they are judged relative
+    # to |w|: with absolute tolerances `gain_graph` stopped at the
+    # orthogonality check at 1e6 and `build` rejected every graph at 3e6.
+    arcs = [(v, v % 30 + 1) for v in range(1, 31)] + [(1, 15), (7, 22)]
+    g = far_formation_graph(30, arcs, scale, seed)
+    largest = float(np.max(np.linalg.norm(g.weight_array, axis=1)))
+    for method in (direct_method, gain_graph_method, cycle_oracle):
+        report = method(g)
+        assert report.verdict is Verdict.BALANCED, (method.__name__, report)
+        assert relative_configuration_residual(g, report.formation) <= 1e-12 * largest
+
+
+def test_far_antiparallel_pairs_pass_the_symmetry_check():
+    # w(i, j) and w(j, i) computed from the formation are conjugates up to
+    # rounding that grows with |w| (~1e9 here); a relative 1e-6 change is caught.
+    arcs = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 1)]
+    g = far_formation_graph(3, arcs, 1e9, 0)
+    assert check_symmetry_pairs(g) is None
+    turn = DualQuaternion.from_quaternion(Quaternion(np.cos(5e-7), np.sin(5e-7), 0.0, 0.0))
+    assert check_symmetry_pairs(g.with_weight((3, 2), g.weight(3, 2) * turn)) == (2, 3)
+
+
 def test_weights_whose_norm_overflows_are_rejected():
     g = gen_cycle(3, WeightType.DUAL_QUATERNION, 1)
     with pytest.raises(NonFiniteWeightError):
@@ -759,8 +832,9 @@ def test_nan_certificates_are_not_accepted(monkeypatch):
 def scalar_symmetry_pairs(g, tol=1e-8):
     for (i, j) in g.arcs:
         if i < j and (j, i) in g.weights:
-            defect = g.weights[(i, j)] - g.weights[(j, i)].conjugate()
-            if linalg.fr_norm(defect.to_array()) > tol:
+            w = g.weights[(i, j)]
+            defect = linalg.fr_norm((w - g.weights[(j, i)].conjugate()).to_array())
+            if defect > tol * linalg.fr_norm(w.to_array()):
                 return (i, j)
     return None
 

@@ -4,6 +4,7 @@ The tool is a script, not part of the package, so it is loaded by path.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "decide_signatures.py"
@@ -50,3 +51,26 @@ def test_diff_reports_documents_without_a_digest():
     del old[0]["doc_sha256"]
     new = [record(0, "direct", "unit_complex", "a", 1e-12)]
     assert load_tool().diff(old, new)[1] == "documents that differ: 0 of 0 (1 more without a digest)"
+
+
+def test_diff_exit_status(tmp_path, capsys):
+    base = [record(0, "direct", "unit_complex", "a", 1e-12),
+            record(1, "wdg_similarity", "real", "b", 3e-12)]
+    moved_err = [record(0, "direct", "unit_complex", "a", 2e-12),
+                 record(1, "wdg_similarity", "real", "B", 3e-12)]
+    cases = {"same": (base, 0), "err and document moved": (moved_err, 0),
+             "verdict": ([base[0], record(1, "wdg_similarity", "real", "b", 3e-12,
+                                          verdict="unbalanced")], 1),
+             "only in old": (base[:1], 1),
+             "only in new": (base + [record(2, "direct", "real", "c", 1e-12)], 1)}
+    for field, value in [("failure_stage", "cycle_found"), ("witness", [[1, 2], [True, True]]),
+                         ("gate", "formation")]:
+        cases[field] = ([base[0], {**base[1], field: value}], 1)
+    tool = load_tool()
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(base))
+    for name, (records, status) in cases.items():
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(records))
+        assert tool.main(["--diff", str(old), str(new)]) == status, name
+        assert capsys.readouterr().out.startswith("records: ")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
+from dqbalance.algebra import (
+    DualQuaternion,
+    NotUnitError,
+    Quaternion,
+    UnitDualQuaternion,
+    random_udq,
+)
 from dqbalance.generate import gen_random_balanced, random_weight
 from dqbalance.graphs import (
     ArcNotFoundError,
@@ -75,6 +81,21 @@ def test_build_rejects_non_unit_weight():
     w = DualQuaternion.from_real(2.0)
     with pytest.raises(NonUnitWeightError):
         build(2, [(1, 2)], {(1, 2): w}, WeightType.UNIT_DUAL_QUATERNION)
+
+
+@pytest.mark.parametrize("dual_defect,unit", [(5e-4, True), (2e-3, False)])
+def test_scalar_and_array_unit_rules_are_relative_to_the_norm(dual_defect, unit):
+    # 2 Re(s d*) = dual_defect at |w| ~ 1e6: within UNIT_TOL * |w| = 1e-3 or not.
+    w = DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(dual_defect / 2, 1e6, 0, 0))
+    assert w.is_unit() is unit
+    if unit:
+        UnitDualQuaternion(w.s, w.d)
+        build(2, [(1, 2)], {(1, 2): w}, WeightType.UNIT_DUAL_QUATERNION)
+    else:
+        with pytest.raises(NotUnitError):
+            UnitDualQuaternion(w.s, w.d)
+        with pytest.raises(NonUnitWeightError):
+            build(2, [(1, 2)], {(1, 2): w}, WeightType.UNIT_DUAL_QUATERNION)
 
 
 def test_build_rejects_non_appreciable_weight():

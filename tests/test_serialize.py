@@ -65,6 +65,7 @@ def test_malformed_documents():
     for bad in [{"s": [1.0], "d": [0.0]},
                 {"n": 3.9}, {"n": "3"}, {"n": True}, {"tail": 1.7}, {"head": True},
                 {"head": "2"}, {"s": ["1", 0, 0, 0]}, {"d": [None, 0, 0, 0]},
+                {"s": [True, 0, 0, 0]}, {"s": [1.0, False, 0, 0]},
                 {"weight_type": "octonion"}]:
         with pytest.raises(GraphFormatError):
             graph_from_obj(one_arc_document(**bad))

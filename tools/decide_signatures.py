@@ -12,6 +12,9 @@ generated inputs.
     python3 tools/decide_signatures.py --root ../parent --seeds 1,2,3 --out old.json
     python3 tools/decide_signatures.py --diff old.json new.json
 
+``--diff`` exits with status 1 when a decide differs in verdict, failure
+stage, witness or gate, or appears in only one file, and 0 otherwise.
+
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script).  The benchmark files are read, not
 changed.
@@ -102,18 +105,24 @@ def _document_lines(old: list[dict], new: list[dict]) -> list[str]:
             + [f"  {wt:<22} {moved:4d} of {n:4d}" for wt, (n, moved) in sorted(per_type.items())])
 
 
+def _by_decide(records: list[dict]) -> dict:
+    return {(r["seed"], r["workload"], r["index"], r["method"]): r for r in records}
+
+
+def _differing(before: dict, after: dict) -> list:
+    """Decides in both record sets whose verdict, failure stage, witness or gate differ."""
+    return [k for k in sorted(before.keys() & after.keys())
+            if any(before[k][f] != after[k][f] for f in SAME)]
+
+
 def diff(old: list[dict], new: list[dict]) -> list[str]:
     """Summary lines: instance documents and records that differ, and per method
     the largest err/formation change and how many errs fell, stayed or rose."""
-    def key(r):
-        return r["seed"], r["workload"], r["index"], r["method"]
-    before = {key(r): r for r in old}
-    after = {key(r): r for r in new}
+    before, after = _by_decide(old), _by_decide(new)
     lines = [f"records: {len(before)} old, {len(after)} new, "
              f"{len(before.keys() & after.keys())} in both"]
     lines += _document_lines(old, new)
-    differ = [k for k in sorted(before.keys() & after.keys())
-              if any(before[k][f] != after[k][f] for f in SAME)]
+    differ = _differing(before, after)
     lines.append(f"differ in verdict, failure stage, witness or gate: {len(differ)}")
     for k in differ:
         a, b = before[k], after[k]
@@ -147,7 +156,8 @@ def main(argv=None) -> int:
     if args.diff:
         old, new = (json.loads(Path(p).read_text()) for p in args.diff)
         print("\n".join(diff(old, new)))
-        return 0
+        before, after = _by_decide(old), _by_decide(new)
+        return int(before.keys() != after.keys() or bool(_differing(before, after)))
     if not args.out:
         parser.error("--out is required unless --diff is given")
     records = record(args.root.resolve(), [int(s) for s in args.seeds.split(",") if s])
