@@ -2,15 +2,17 @@
 
 Four decision procedures are provided:
 
-* `direct_method` -- solves the weighted Laplacian null system in two
-  least-squares stages (standard part, then dual part).
-* `gain_graph_method` -- symmetrizes the digraph into a gain graph with a
-  Hermitian Laplacian and runs the same staged solves there.
+* `direct_method` -- takes the spanning-tree potential as the null vector of
+  the weighted Laplacian; only when the potential fails on some arc does it
+  solve the null system in two least-squares stages (standard part, then
+  dual part) to name the stage that fails.
+* `gain_graph_method` -- the same on the symmetrization of the digraph, a
+  gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
   that its oriented weight product is neutral (`_cycle_defects`).  Intended
   as a desk-scale reference, not a production path.
 * `wdg_similarity_method` -- propagates a potential over a spanning tree
-  and checks every arc against it (`_tree_potential`).
+  by pointer doubling and checks every arc against it (`_tree_potential`).
 
 Balance is equivalent to the weights factoring as
 ``theta(i)^-1 theta(j) c_ij`` with positive real ``c_ij`` (``c_ij = 1`` and
@@ -41,7 +43,7 @@ from .graphs import (
     build,
     cycle_products,
     enumerate_cycles,
-    is_weakly_connected,
+    has_directed_spanning_tree,
     laplacian,
     laplacian_entries,
     spanning_forest,
@@ -233,13 +235,6 @@ def similarity_residual(L_hat: np.ndarray, x: np.ndarray, L: np.ndarray) -> floa
                                  linalg.dqmul(L_hat[rows, cols], x[cols]))
 
 
-def _require_unit_connected(g: WeightedDigraph, method: str) -> None:
-    if not g.weight_type.is_unit:
-        raise NotUnitWeightTypeError(f"{method} requires a unit weight type")
-    if not is_weakly_connected(g.graph):
-        raise NotConnectedError(f"{method} requires a weakly connected graph")
-
-
 def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
                          method: Method) -> BalanceReport:
     """Shared stages 2-3 for a Laplacian ``L_hat`` of ``g``: reduced solves of
@@ -271,23 +266,54 @@ def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
 # The decision methods
 # ---------------------------------------------------------------------------
 
+def _seeded_decide(g: WeightedDigraph, method: Method) -> BalanceReport:
+    """`direct_method` on ``g``, or `gain_graph_method` on its symmetrization.
+
+    Only a graph whose spanning-tree potential has a bad arc builds the
+    Laplacian and runs the staged solves; an unbalanced verdict there carries
+    the cycle that the bad arc closes in the spanning forest as its witness.
+    """
+    name, symmetrize = f"{method.value}_method", method is Method.GAIN_GRAPH
+    if not g.weight_type.is_unit:
+        raise NotUnitWeightTypeError(f"{name} requires a unit weight type")
+    tp = _tree_potential(g)
+    if not tp.connected:
+        raise NotConnectedError(f"{name} requires a weakly connected graph")
+    violation = check_symmetry_pairs(g)
+    if violation is not None:
+        return BalanceReport(Verdict.UNBALANCED, method,
+                             failure_stage=FailureStage.SYMMETRY_CHECK,
+                             witness=OrientedCycle(violation, (True, True)))
+    if tp.bad is None:
+        # The symmetrization of a connected graph is strongly connected; the
+        # digraph itself has rank n - 1 exactly with a directed spanning tree.
+        if symmetrize or has_directed_spanning_tree(g.graph):
+            return _potential_report(g, tp.theta, method)
+        return BalanceReport(Verdict.INDETERMINATE, method,
+                             failure_stage=FailureStage.ASSUMPTION_RANK)
+    report = _null_space_pipeline(g, laplacian(symmetrized_gain_graph(g) if symmetrize else g),
+                                  method)
+    if report.verdict is Verdict.UNBALANCED:
+        report = replace(report, witness=_closing_cycle(g, *tp.forest, tp.bad))
+    return report
+
+
 def direct_method(g: WeightedDigraph) -> BalanceReport:
     """Decide balance of a unit-weighted connected digraph via its Laplacian.
 
-    Steps: (1) antiparallel weights must be mutual conjugates; (2) solve the
-    reduced standard and dual systems of ``L x = 0`` with the first entry
-    pinned; (3) certify ``conj(x)`` as a potential (`wdg_similarity_check`):
-    it must conjugate L onto the magnitude Laplacian, which for unit weights
-    is the unweighted one.  A rank-deficient standard part (below n-1) leaves
-    the null space structure unknown and yields an indeterminate verdict.
+    Steps: (1) antiparallel weights must be mutual conjugates; (2) the
+    spanning-tree potential f (`_tree_potential`, f_1 = 1) is the null
+    vector: balance means ``weight(i,j) == conj(f_i) f_j`` on every arc, and
+    then ``x = conj(f)`` solves ``L x = 0`` with ``x_1 = 1``.  Without a bad
+    arc f is certified (`wdg_similarity_check`): it must conjugate L onto
+    the magnitude Laplacian, which for unit weights is the unweighted one.
+    (3) Otherwise the reduced standard and dual systems of ``L x = 0`` are
+    solved with the first entry pinned, to name the stage that fails.  A
+    standard part of rank below n-1, as on every graph without a directed
+    spanning tree, leaves the null space structure unknown and yields an
+    indeterminate verdict.
     """
-    _require_unit_connected(g, "direct_method")
-    violation = check_symmetry_pairs(g)
-    if violation is not None:
-        return BalanceReport(Verdict.UNBALANCED, Method.DIRECT,
-                             failure_stage=FailureStage.SYMMETRY_CHECK,
-                             witness=OrientedCycle(violation, (True, True)))
-    return _null_space_pipeline(g, laplacian(g), Method.DIRECT)
+    return _seeded_decide(g, Method.DIRECT)
 
 
 def symmetrized_gain_graph(g: WeightedDigraph) -> WeightedDigraph:
@@ -308,16 +334,11 @@ def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
     """Decide balance by passing to the symmetrized (Hermitian) gain graph.
 
     A potential function transfers between the digraph and its
-    symmetrization, so the verdict there is the verdict here.  The null
-    vector solved for there is certified as a potential of the input graph.
+    symmetrization, so the verdict there is the verdict here.  The steps are
+    those of `direct_method`, with the staged solves on the symmetrization;
+    the potential is certified on the input graph's own arcs.
     """
-    _require_unit_connected(g, "gain_graph_method")
-    violation = check_symmetry_pairs(g)
-    if violation is not None:
-        return BalanceReport(Verdict.UNBALANCED, Method.GAIN_GRAPH,
-                             failure_stage=FailureStage.SYMMETRY_CHECK,
-                             witness=OrientedCycle(violation, (True, True)))
-    return _null_space_pipeline(g, laplacian(symmetrized_gain_graph(g)), Method.GAIN_GRAPH)
+    return _seeded_decide(g, Method.GAIN_GRAPH)
 
 
 def is_neutral(w: DualQuaternion, tol: float = BALANCE_TOL) -> bool:
@@ -329,30 +350,40 @@ def is_neutral(w: DualQuaternion, tol: float = BALANCE_TOL) -> bool:
 
 
 def _cycle_defects(g: WeightedDigraph, cycles: Sequence[OrientedCycle]) -> np.ndarray:
-    """Each cycle's distance from neutrality: ``|product - 1|`` over all components.
+    """Each cycle's distance from neutrality, relative to the size of its steps.
 
-    For general weight types every step is first divided by its standard
-    magnitude, a positive real per arc, which cannot change balance.  The
-    product then has unit standard magnitude, it is neutral exactly when it
-    is 1, and the distance does not depend on the scale of the weights.
+    The distance is ``|product - 1|`` over all components, divided by the
+    largest 8-component norm among the cycle's steps, whose rounding it
+    carries.  For general weight types every step is first divided by its
+    standard magnitude, a positive real per arc, which cannot change balance.
+    The product then has unit standard magnitude, it is neutral exactly when
+    it is 1, and the distance depends neither on the scale of the weights nor
+    on the translations of unit ones.
     """
+    W = g.weight_array
     if not g.weight_type.is_unit:
-        W = g.weight_array
-        g = replace(g, weight_array=W / np.linalg.norm(W[:, :4], axis=1, keepdims=True))
+        W = W / np.linalg.norm(W[:, :4], axis=1, keepdims=True)
+        g = replace(g, weight_array=W)
     prod = cycle_products(g, cycles)
     prod[:, 0] -= 1.0
-    return np.linalg.norm(prod, axis=1)
+    # A step and its inverse have the same norm once |w_s| = 1.
+    arcs = np.array([arc for c in cycles for arc in c.arcs()], dtype=np.intp).reshape(-1, 2)
+    norms = np.linalg.norm(W, axis=1)[arc_positions(g.graph, *arcs.T)]
+    lengths = np.array([len(c) for c in cycles], dtype=np.intp)
+    return np.linalg.norm(prod, axis=1) / np.maximum.reduceat(norms, np.cumsum(lengths) - lengths)
 
 
 def cycle_deviation(g: WeightedDigraph, cycle: OrientedCycle) -> float:
-    """How far the oriented cycle product is from neutrality (see `_cycle_defects`)."""
+    """How far the oriented cycle product is from neutrality, relative to its
+    largest step (see `_cycle_defects`)."""
     return float(_cycle_defects(g, [cycle])[0])
 
 
 def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport:
     """Brute-force verdict: every simple cycle's oriented product must be neutral.
 
-    Each cycle's `_cycle_defects` distance must be at most ``BALANCE_TOL``:
+    Each cycle's `_cycle_defects` distance, relative to its largest step,
+    must be at most ``BALANCE_TOL``:
     unit weight types require the product to equal 1, general weights a
     positive real dual number.  Returns the first offending cycle as a
     witness.  If enumeration hits ``max_cycles`` the verdict is
@@ -387,25 +418,35 @@ class _TreePotential(NamedTuple):
 def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     """Vertex potentials propagated over the BFS spanning forest (see `spanning_forest`).
 
-    Roots get potential 1, children ``theta(parent) * weight`` along forward
-    tree arcs and ``theta(parent) * weight^-1`` along backward ones, one BFS
-    level at a time, each divided by its standard magnitude (a positive real,
-    which the arc scalars absorb).  Every arc is then checked against
+    Roots get potential 1 and every other vertex the product of the steps on
+    its tree path from the root: the weight along forward tree arcs, its
+    inverse along backward ones.  The products are formed by pointer doubling
+    (Wyllie's list ranking): each vertex starts with its own step and its
+    parent as ancestor, and each round left-multiplies a vertex's product by
+    its ancestor's and jumps to the ancestor's ancestor, until every ancestor
+    is a root.  That is ceil(log2 depth) rounds over whole arrays.  Every
+    product is divided by its standard magnitude (a positive real, which the
+    arc scalars absorb).  Every arc is then checked against
     ``theta(i)^-1 theta(j) c_ij`` within ``BALANCE_TOL * |w|``, relative to
     its weight at every scale, with the scalar its magnitude forces,
     ``c_ij = |w_s(i,j)|`` as every potential has unit standard magnitude.
     """
-    parent_arc, depth = forest = spanning_forest(g.graph)
+    parent_arc, _ = forest = spanning_forest(g.graph)
     child = np.flatnonzero(parent_arc >= 0)
     tree = parent_arc[child]
     forward = g.graph.heads[tree] == child
-    parent = np.where(forward, g.graph.tails[tree], g.graph.heads[tree])
     steps = step_weights(g, tree, forward)
     theta = np.tile(np.eye(1, 8), (g.n, 1))     # roots keep potential 1
-    for level in range(1, int(depth.max()) + 1):
-        at = depth[child] == level
-        rows = linalg.dqmul(theta[parent[at]], steps[at])
-        theta[child[at]] = rows / np.linalg.norm(rows[:, :4], axis=1, keepdims=True)
+    theta[child] = steps / np.linalg.norm(steps[:, :4], axis=1, keepdims=True)
+    ancestor = np.arange(g.n)
+    ancestor[child] = np.where(forward, g.graph.tails[tree], g.graph.heads[tree])
+    live = child[parent_arc[ancestor[child]] >= 0]      # ancestor not yet a root
+    while len(live):
+        up = ancestor[live]
+        rows = linalg.dqmul(theta[up], theta[live])
+        theta[live] = rows / np.linalg.norm(rows[:, :4], axis=1, keepdims=True)
+        ancestor[live] = ancestor[up]
+        live = live[parent_arc[ancestor[live]] >= 0]
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     c = np.linalg.norm(W[:, :4], axis=1)
     predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]

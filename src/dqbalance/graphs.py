@@ -273,14 +273,33 @@ def is_weakly_connected(g: Digraph) -> bool:
 def has_directed_spanning_tree(g: Digraph) -> bool:
     """True iff some vertex is reachable from every other vertex by directed paths.
 
-    Equivalent to the condensation of the digraph having exactly one sink
-    component.
+    Such a vertex reaches every vertex along the reversed arcs.  A search of
+    the reversed graph that starts again at each vertex not yet reached
+    leaves a reached set that is closed under reachability, so the search
+    that reaches such a vertex reaches all the rest: the last vertex started
+    from is one if any is (the mother-vertex argument).  A second search
+    from it decides.
     """
-    digraph = nx.DiGraph(g.arcs)
-    digraph.add_nodes_from(range(1, g.n + 1))
-    cond = nx.condensation(digraph)
-    sinks = [c for c in cond.nodes if cond.out_degree(c) == 0]
-    return len(sinks) == 1
+    into = [[] for _ in range(g.n)]
+    for i, j in g.arcs:
+        into[j - 1].append(i - 1)
+
+    def search(start: int, reached: list[bool]) -> None:
+        reached[start], stack = True, [start]
+        while stack:
+            for u in into[stack.pop()]:
+                if not reached[u]:
+                    reached[u] = True
+                    stack.append(u)
+
+    reached, last = [False] * g.n, 0
+    for v in range(g.n):
+        if not reached[v]:
+            search(v, reached)
+            last = v
+    reached = [False] * g.n
+    search(last, reached)
+    return all(reached)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -423,6 +425,149 @@ def test_gain_graph_certificate_does_not_grow_with_n():
 
 
 # ---------------------------------------------------------------------------
+# the potential seed of direct and gain_graph
+# ---------------------------------------------------------------------------
+
+UNIT_TYPES = [WeightType.UNIT_DUAL_QUATERNION, WeightType.UNIT_COMPLEX]
+
+
+@pytest.fixture
+def no_staged_solve(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a balanced decide built the Laplacian or factored it")
+    monkeypatch.setattr(linalg.QuatLeastSquares, "__init__", unused)
+    monkeypatch.setattr(balance, "laplacian", unused)
+
+
+@pytest.mark.parametrize("wt", UNIT_TYPES)
+def test_balanced_decides_take_the_potential_without_a_solve(no_staged_solve, wt):
+    for seed in range(5):
+        g = gen_random_balanced(12, 0.15, wt, seed, directed_spanning_tree=True)
+        for method in (direct_method, gain_graph_method):
+            assert method(g).verdict is Verdict.BALANCED
+
+
+def test_balanced_graph_without_a_directed_spanning_tree_needs_no_solve(no_staged_solve):
+    # Two sinks, 2 and 4, and one undirected cycle 1-2-3-4.
+    g = far_formation_graph(4, [(1, 2), (3, 2), (1, 4), (3, 4)], 1.0, 0)
+    assert not graphs.has_directed_spanning_tree(g.graph)
+    report = direct_method(g)
+    assert (report.verdict, report.failure_stage) == (Verdict.INDETERMINATE,
+                                                      FailureStage.ASSUMPTION_RANK)
+    assert gain_graph_method(g).verdict is Verdict.BALANCED
+
+
+def test_ten_thousand_cycle_is_decided_without_a_solve(no_staged_solve):
+    # The complex adjoint of its Laplacian alone would take about 6.4 GB.
+    g = gen_cycle(10 ** 4, WeightType.UNIT_DUAL_QUATERNION, 0)
+    for method in (direct_method, gain_graph_method):
+        report = method(g)
+        assert report.verdict is Verdict.BALANCED
+        assert report.err < 1e-10
+
+
+def nudged(g, arc, size, rng):
+    """``g`` with the weight of ``arc`` times a unit weight at distance ~``size`` from 1."""
+    axis = (1.0, 0.0, 0.0) if g.weight_type is WeightType.UNIT_COMPLEX else rng.normal(size=3)
+    axis = size * np.asarray(axis) / np.linalg.norm(axis)
+    turn = DualQuaternion.from_quaternion(Quaternion(np.sqrt(1.0 - size ** 2), *axis))
+    if g.weight_type is WeightType.UNIT_DUAL_QUATERNION and rng.random() < 0.5:
+        turn = udq_from_motion(Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(0.0, *2.0 * axis))
+    return g.with_weight(arc, g.weight(*arc) * turn)
+
+
+def test_seed_route_matches_the_staged_pipeline():
+    # The seed decides balanced graphs by structure (a directed spanning tree
+    # for `direct`); the staged solves decide by numerical rank.  Every
+    # disagreement fails the test.  Unbalanced graphs run the pipeline, and
+    # each unbalanced verdict past the symmetry check carries the cycle that
+    # the potential's bad arc closes.
+    rng = np.random.default_rng(2026)
+    seen = Counter()
+    for trial in range(600):
+        wt = UNIT_TYPES[trial % 2]
+        g = gen_random_balanced(int(rng.integers(3, 10)), float(rng.uniform(0.0, 0.3)), wt,
+                                rng, directed_spanning_tree=trial % 3 == 0)
+        arc = g.arcs[int(rng.integers(len(g.arcs)))]
+        if trial % 4 == 1:
+            g = perturb(g, arc, rng)
+        elif trial % 4 == 2:
+            g = nudged(g, arc, 10.0 ** rng.uniform(-6.0, -2.0), rng)
+        tp = _tree_potential(g)
+        for method, laplacian_of in ((direct_method, laplacian),
+                                     (gain_graph_method,
+                                      lambda g: laplacian(symmetrized_gain_graph(g)))):
+            report = method(g)
+            if report.failure_stage is FailureStage.SYMMETRY_CHECK:
+                seen["symmetry"] += 1
+                continue
+            reference = _null_space_pipeline(g, laplacian_of(g), report.method)
+            assert (report.verdict, report.failure_stage) == (
+                reference.verdict, reference.failure_stage), (method.__name__, g.arcs)
+            if tp.bad is not None:
+                assert reference.verdict is not Verdict.BALANCED, (method.__name__, g.arcs)
+            if report.verdict is Verdict.UNBALANCED:
+                assert cycle_deviation(g, report.witness) > BALANCE_TOL
+            seen[report.method.value, report.verdict.value,
+                 graphs.has_directed_spanning_tree(g.graph)] += 1
+    for method in ("direct", "gain_graph"):
+        assert seen[method, "balanced", True] >= 100
+        assert seen[method, "unbalanced", True] >= 50
+    assert seen["direct", "indeterminate", False] >= 50
+    assert seen["gain_graph", "balanced", False] >= 50
+    assert seen["gain_graph", "unbalanced", False] >= 10
+
+
+def level_loop_theta(g):
+    """The potentials propagated one BFS level at a time: the reference for doubling."""
+    parent_arc, depth = graphs.spanning_forest(g.graph)
+    child = np.flatnonzero(parent_arc >= 0)
+    tree = parent_arc[child]
+    forward = g.graph.heads[tree] == child
+    parent = np.where(forward, g.graph.tails[tree], g.graph.heads[tree])
+    steps = graphs.step_weights(g, tree, forward)
+    theta = np.tile(np.eye(1, 8), (g.n, 1))
+    for level in range(1, int(depth.max()) + 1):
+        at = depth[child] == level
+        rows = linalg.dqmul(theta[parent[at]], steps[at])
+        theta[child[at]] = rows / np.linalg.norm(rows[:, :4], axis=1, keepdims=True)
+    return theta
+
+
+def first_bad_arc(g, theta):
+    W = g.weight_array
+    c = np.linalg.norm(W[:, :4], axis=1)
+    predicted = linalg.dqmul(linalg.dqinv(theta[g.graph.tails]), theta[g.graph.heads]) * c[:, None]
+    bad = np.flatnonzero(np.linalg.norm(W - predicted, axis=1)
+                         > BALANCE_TOL * np.linalg.norm(W, axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
+def disjoint_union(a, b):
+    arcs = a.arcs + tuple((i + a.n, j + a.n) for i, j in b.arcs)
+    rows = np.concatenate([a.weight_array, b.weight_array])
+    return build(a.n + b.n, arcs, dict(zip(arcs, rows)), a.weight_type)
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_pointer_doubling_matches_the_level_loop(wt):
+    rng = np.random.default_rng(7)
+    cases = [gen_cycle(n, wt, rng) for n in (3, 4, 17, 256, 1025, 2000)]
+    cases += [gen_random_balanced(n, density, wt, rng)
+              for n, density in ((2, 0.0), (30, 0.0), (60, 0.05), (200, 0.01), (500, 0.002))]
+    cases += [perturb(g, g.arcs[len(g.arcs) // 2], rng) for g in cases[2:]]
+    cases += [disjoint_union(gen_cycle(9, wt, rng), gen_random_balanced(40, 0.02, wt, rng))]
+    bad = []
+    for g in cases:
+        tp = _tree_potential(g)
+        reference = level_loop_theta(g)
+        assert np.max(np.abs(tp.theta - reference)) <= 1e-13, (g.n, len(g.arcs))
+        assert tp.bad == first_bad_arc(g, reference)
+        bad.append(tp.bad)
+    assert any(k is None for k in bad) and any(k is not None for k in bad)
+
+
+# ---------------------------------------------------------------------------
 # cycle oracle
 # ---------------------------------------------------------------------------
 
@@ -778,7 +923,7 @@ def far_formation_graph(n, arcs, scale, seed):
     return build(n, arcs, dict(zip(arcs, W)), WeightType.UNIT_DUAL_QUATERNION)
 
 
-@pytest.mark.parametrize("scale", [1e6, 3e6])
+@pytest.mark.parametrize("scale", [1e6, 3e6, 1e7, 3e7])
 @pytest.mark.parametrize("seed", range(5))
 def test_far_formations_are_balanced_under_every_method(scale, seed):
     # A directed 30-cycle plus two chords.  The unit, orthogonality and

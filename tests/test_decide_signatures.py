@@ -39,11 +39,26 @@ def test_diff_counts_moved_documents_per_weight_type_and_changed_decides():
     assert lines[2].split() == ["real", "1", "of", "2"]
     assert lines[3].split() == ["unit_complex", "0", "of", "1"]
     assert lines[4] == "differ in verdict, failure stage, witness or gate: 1"
-    assert "verdict 'balanced' -> 'unbalanced'" in lines[5]
-    methods = {line.split()[0]: line for line in lines[6:]}
+    assert lines[5] == "  by field: verdict 1, failure stage 0, witness 0, gate 0"
+    assert "verdict 'balanced' -> 'unbalanced'" in lines[6]
+    methods = {line.split()[0]: line for line in lines[7:]}
     assert "2 decides,    0 bit-identical" in methods["wdg_similarity"]
     assert methods["wdg_similarity"].endswith("err fell 1, stayed 0, rose 1")
     assert methods["direct"].endswith("err fell 0, stayed 1, rose 0")
+
+
+def test_diff_counts_each_field_that_differs():
+    # A witness-only change reads as such: one decide gains a witness, another
+    # changes stage and gate together.
+    old = [record(k, "direct", "unit_complex", "a", None, verdict="unbalanced") for k in range(3)]
+    new = [dict(r) for r in old]
+    new[0]["witness"] = [[1, 2, 3], [True, True, False]]
+    new[1].update(failure_stage="standard_solve", gate="verdict")
+    lines = load_tool().diff(old, new)
+    assert lines[3] == "differ in verdict, failure stage, witness or gate: 2"
+    assert lines[4] == "  by field: verdict 0, failure stage 1, witness 1, gate 1"
+    assert "witness None -> [[1, 2, 3], [True, True, False]]" in lines[5]
+    assert lines[6].endswith("failure_stage None -> 'standard_solve', gate 'pass' -> 'verdict'")
 
 
 def test_diff_reports_documents_without_a_digest():

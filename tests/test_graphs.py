@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -203,6 +204,27 @@ def test_directed_spanning_tree_agrees_with_zero_eigenvalue():
         simple_zero = int(np.sum(np.abs(eigs) <= 1e-7 * scale)) == 1
         assert np.linalg.norm(L @ np.ones(n)) < 1e-12
         assert has_directed_spanning_tree(g) == simple_zero
+
+
+def condensation_has_one_sink(g):
+    """Reference: the condensation of the digraph has exactly one sink component."""
+    digraph = nx.DiGraph(g.arcs)
+    digraph.add_nodes_from(range(1, g.n + 1))
+    cond = nx.condensation(digraph)
+    return sum(1 for c in cond.nodes if cond.out_degree(c) == 0) == 1
+
+
+def test_directed_spanning_tree_agrees_with_the_condensation():
+    rng = np.random.default_rng(43)
+    found = set()
+    for _ in range(1000):
+        n = int(rng.integers(1, 9))
+        p = rng.uniform(0.0, 0.5)
+        g = Digraph(n, tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                             if i != j and rng.random() < p))
+        found.add(has_directed_spanning_tree(g))
+        assert has_directed_spanning_tree(g) == condensation_has_one_sink(g), g.arcs
+    assert found == {True, False}
 
 
 # ---------------------------------------------------------------------------

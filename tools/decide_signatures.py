@@ -116,14 +116,17 @@ def _differing(before: dict, after: dict) -> list:
 
 
 def diff(old: list[dict], new: list[dict]) -> list[str]:
-    """Summary lines: instance documents and records that differ, and per method
-    the largest err/formation change and how many errs fell, stayed or rose."""
+    """Summary lines: instance documents and records that differ, how many decides
+    differ in each compared field, and per method the largest err/formation
+    change and how many errs fell, stayed or rose."""
     before, after = _by_decide(old), _by_decide(new)
     lines = [f"records: {len(before)} old, {len(after)} new, "
              f"{len(before.keys() & after.keys())} in both"]
     lines += _document_lines(old, new)
     differ = _differing(before, after)
     lines.append(f"differ in verdict, failure stage, witness or gate: {len(differ)}")
+    lines.append("  by field: " + ", ".join(
+        f"{f.replace('_', ' ')} {sum(before[k][f] != after[k][f] for k in differ)}" for f in SAME))
     for k in differ:
         a, b = before[k], after[k]
         lines.append(f"  {k} {a['instance']}: "
