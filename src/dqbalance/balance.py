@@ -5,7 +5,18 @@ Four decision procedures are provided:
 * `direct_method` -- takes the spanning-tree potential as the null vector of
   the weighted Laplacian; only when the potential fails on some arc does it
   solve the null system in two least-squares stages (standard part, then
-  dual part) to name the stage that fails.
+  dual part) to name the stage that fails; a failing arc excludes a balanced
+  verdict.  The stages run in the frame switched by the potential, where
+  the Laplacian is the real unweighted one less a correction on the arcs K
+  that do not factor through the potential: one real factorization of a
+  reduced unweighted Laplacian and one of its transpose, and a Woodbury
+  system in |K| quaternion unknowns (`_switched_solves`).  Each stage's
+  least-squares residual is the component of its right-hand side along the
+  left null vector ``ell`` of the reduced standard matrix, and the solution
+  solves the right-hand side projected off ``ell``.  Without a vertex that
+  every vertex reaches, or with an ill-conditioned capacitance matrix (or
+  a K too large for the Woodbury system to pay), the stages take one SVD of
+  the dense Laplacian's standard part instead (`_null_space_pipeline`).
 * `gain_graph_method` -- the same on the symmetrization of the digraph, a
   gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
@@ -30,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +57,10 @@ from .graphs import (
     has_directed_spanning_tree,
     laplacian,
     laplacian_entries,
+    mother_vertex,
     spanning_forest,
     step_weights,
+    unweighted_laplacian,
 )
 
 # Residual threshold below which a similarity / neutrality certificate is
@@ -140,7 +153,7 @@ class StandardSolveResult:
     consistent: bool
     unit: bool
     reduced_full_rank: bool
-    solver: linalg.QuatLeastSquares
+    solver: linalg.QuatLeastSquares | None    # None in the switched frame, always full rank
 
 
 @dataclass(frozen=True)
@@ -179,9 +192,19 @@ def solve_standard_part(L: np.ndarray) -> StandardSolveResult:
     x2, residual = solver.solve(-c1)
     consistent = linalg.is_consistent(residual, c1)
     x = np.vstack([np.array([[1.0, 0.0, 0.0, 0.0]]), x2])
-    mags = np.linalg.norm(x, axis=1)
-    unit = bool(np.max(np.abs(mags - 1.0)) <= UNIT_CHECK_TOL)
-    return StandardSolveResult(x, consistent, unit, solver.full_column_rank, solver)
+    return StandardSolveResult(x, consistent, _unit(x), solver.full_column_rank, solver)
+
+
+def _unit(x: np.ndarray) -> bool:
+    """Whether every entry of a quaternion vector has magnitude 1 within ``UNIT_CHECK_TOL``."""
+    return bool(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= UNIT_CHECK_TOL)
+
+
+def _orthogonal(x_s: np.ndarray, x_d: np.ndarray) -> bool:
+    """Whether ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry, within
+    ``ORTHOGONALITY_TOL`` times the entry's 8-component norm."""
+    defect = np.abs(2.0 * np.sum(x_s * x_d, axis=1))
+    return bool(np.all(defect <= ORTHOGONALITY_TOL * np.linalg.norm(np.hstack([x_s, x_d]), axis=1)))
 
 
 def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
@@ -190,17 +213,12 @@ def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
 
     The right-hand side is ``-(dual part of L) @ x_s``; the coefficient
     matrix is the same reduced standard block as in stage one, so ``solver``
-    is stage one's factorization of it.  ``orthogonal`` records whether
-    ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry, within
-    ``ORTHOGONALITY_TOL`` times the entry's 8-component norm.
+    is stage one's factorization of it.  ``orthogonal`` is `_orthogonal`.
     """
     rhs = -linalg.qmat_mul(linalg.dq_dual(L), x_s[:, None, :])[:, 0, :]
     x2, residual = solver.solve(rhs)
-    consistent = linalg.is_consistent(residual, rhs)
     x = np.vstack([np.zeros((1, 4)), x2])
-    defect = np.abs(2.0 * np.sum(x_s * x, axis=1))
-    ortho = bool(np.all(defect <= ORTHOGONALITY_TOL * np.linalg.norm(np.hstack([x_s, x]), axis=1)))
-    return DualSolveResult(x, consistent, ortho)
+    return DualSolveResult(x, linalg.is_consistent(residual, rhs), _orthogonal(x_s, x))
 
 
 def _conjugation_residual(rows: np.ndarray, target: np.ndarray, left: np.ndarray,
@@ -235,12 +253,14 @@ def similarity_residual(L_hat: np.ndarray, x: np.ndarray, L: np.ndarray) -> floa
                                  linalg.dqmul(L_hat[rows, cols], x[cols]))
 
 
-def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
-                         method: Method) -> BalanceReport:
-    """Shared stages 2-3 for a Laplacian ``L_hat`` of ``g``: reduced solves of
-    ``L_hat x = 0``, unit/orthogonality gates, then the potential certificate
-    of ``conj(x)`` on the arcs of ``g``."""
-    std = solve_standard_part(L_hat)
+def _staged_report(g: WeightedDigraph, std: StandardSolveResult,
+                   dual_part: Callable[[np.ndarray], DualSolveResult],
+                   method: Method) -> BalanceReport:
+    """The verdict of the staged solves of ``L_hat x = 0``: the first stage that
+    fails, else the potential certificate of ``conj(x)`` on the arcs of ``g``.
+
+    ``dual_part`` solves the dual stage for the standard solution.
+    """
     # rank([c1 C]) = rank(C) + 1 exactly when C x2 = -c1 is inconsistent, so a
     # deficient C leaves rank n - 1 only if one short and inconsistent.
     if not std.reduced_full_rank and (std.consistent or std.solver.rank != 4 * (g.n - 2)):
@@ -252,7 +272,7 @@ def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
     if not std.unit:
         return BalanceReport(Verdict.UNBALANCED, method,
                              failure_stage=FailureStage.UNIT_CHECK)
-    dual = solve_dual_part(L_hat, std.x, std.solver)
+    dual = dual_part(std.x)
     if not dual.consistent:
         return BalanceReport(Verdict.UNBALANCED, method,
                              failure_stage=FailureStage.DUAL_SOLVE)
@@ -262,6 +282,132 @@ def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
     return _potential_report(g, linalg.dqconj(linalg.dq_join(std.x, dual.x)), method)
 
 
+def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
+                         method: Method) -> BalanceReport:
+    """`_staged_report` for a dense Laplacian ``L_hat`` of ``g``: both stages
+    solve with one SVD of the reduced standard block (`QuatLeastSquares`)."""
+    std = solve_standard_part(L_hat)
+    return _staged_report(g, std, lambda x_s: solve_dual_part(L_hat, x_s, std.solver), method)
+
+
+def _capacitance(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The quaternion matrix ``I - diag(S) H``, ``H`` real."""
+    A = -S[:, None, :] * H[:, :, None]
+    A[np.arange(len(S)), np.arange(len(S)), 0] += 1.0
+    return A
+
+
+def _switched_solves(s: WeightedDigraph, theta: np.ndarray):
+    """The staged solves of ``L_hat x = 0``, ``L_hat`` the Laplacian of the unit
+    graph ``s``, in the frame switched by the potential ``theta`` (row v - 1
+    for vertex v, ``theta_1 = 1``).
+
+    Returns the standard stage and the dual stage's function, as
+    `_staged_report` takes them, or None where the dense pipeline runs: ``s``
+    has no `mother_vertex`, the real expansion of the capacitance system
+    below (4|K| rows) would outgrow the complex adjoint that the dense
+    pipeline factors (2n rows), or a capacitance matrix has condition number
+    above ``1 / RANK_TOL``.
+
+    With ``z = theta x`` entrywise, ``L_hat x = 0`` holds exactly when
+    ``L' z = 0``, where L' has the switched weights
+    ``u_e = theta_t w_e conj(theta_h)``, and ``z_1 = x_1``.  Arcs that factor
+    through the potential have ``u_e = 1``; K holds the rest
+    (``|u_e - 1| > RANK_TOL |w_e|``), so that
+    ``L' = L0 - sum_K e_t (u_e - 1) e_h^T`` with L0 the real unweighted
+    Laplacian.  Pinning column 1 and dropping the row of a vertex r that
+    every vertex reaches leaves a real matrix M of L0 that is nonsingular:
+    its cofactor counts the spanning trees directed to r.  M and M^T are
+    factored once each, and the quaternion work is a Woodbury (1950) system
+    in the |K| unknowns ``(u_e - 1) z_h``, with capacitance
+    ``I - diag(S) H``: ``S_e`` is the standard part of ``u_e - 1`` and H
+    holds the entries of M^-1 at the heads (rows) and tails (columns) of K.
+
+    The least-squares semantics of `_null_space_pipeline` are kept.  The
+    switching is unitary on the standard part, so residuals and magnitudes
+    carry over.  The left null vector ``ell`` of the reduced n x (n - 1)
+    standard matrix, with ``ell_r = 1``, comes from the Woodbury solve with
+    M^T.  A stage's least-squares residual is ``|ell* b| / |ell|``; less its
+    component along ``ell``, ``b`` is consistent, and the square system of
+    the rows other than r solves it.  The dual stage's right-hand side,
+    ``-L'_d z - p (L'_s z)`` with ``p = theta_s conj(theta_d)``, lies in the
+    span of the tail columns of K and of ``ell`` and ``p ell``, which M
+    solves with the rest; its consistency is judged against the norm of the
+    unswitched right-hand side, as in the dense pipeline.
+    """
+    n, tails, heads, W = s.n, s.graph.tails, s.graph.heads, s.weight_array
+    u = linalg.dqmul(linalg.dqmul(theta[tails], W), linalg.dqconj(theta[heads]))
+    u[:, 0] -= 1.0
+    K = np.flatnonzero(np.linalg.norm(u, axis=1) > linalg.RANK_TOL * np.linalg.norm(W, axis=1))
+    root = mother_vertex(s.graph) if 2 * len(K) <= n else None
+    if root is None:
+        return None
+    r, t, h, S = root - 1, tails[K], heads[K], u[K, :4]
+
+    def unit_columns(ends: np.ndarray) -> np.ndarray:
+        out = np.zeros((n, len(K)))
+        out[ends, np.arange(len(K))] = 1.0
+        return out
+
+    L0 = unweighted_laplacian(s.graph)
+    rows = np.delete(np.arange(n), r)
+    M = L0[rows, 1:]
+    # Solutions are held at full length: row r of ``left`` is ell_r (1 in
+    # column 0, 0 elsewhere) and row 0 of ``right`` the pinned entry, 0.
+    left = np.zeros((n, 1 + len(K)))
+    left[rows] = np.linalg.solve(M.T, np.column_stack([-L0[r, 1:], unit_columns(h)[1:]]))
+    left[r, 0] = 1.0
+    # ell = left[:, 0] + left[:, 1:] c with c_e = conj(S_e) ell_{t_e}, and H^T = left[t, 1:].
+    A_left = _capacitance(linalg.qconj(S), left[t, 1:])
+    A_right = _capacitance(S, left[t, 1:].T)
+    if max(np.linalg.cond(linalg.complex_adjoint(A)) for A in (A_left, A_right)) \
+            > 1.0 / linalg.RANK_TOL:
+        return None
+    ell = left[:, 1:] @ linalg.qsolve(A_left, linalg.qconj(S) * left[t, :1])
+    ell[:, 0] += left[:, 0]
+    ell_sq = float(np.sum(ell * ell))
+    f_s, f_d = theta[:, :4], theta[:, 4:]
+    p_ell = linalg.qmul(linalg.qmul(f_s, linalg.qconj(f_d)), ell)
+    right = np.zeros((n, len(K) + 9))
+    right[1:] = np.linalg.solve(M, np.column_stack([unit_columns(t)[rows], -L0[rows, 0],
+                                                    ell[rows], p_ell[rows]]))
+    G, M_ell, M_p_ell = right[:, :len(K)], right[:, -8:-4], right[:, -4:]
+
+    def project(b: np.ndarray) -> tuple[np.ndarray, float]:
+        """``ell* b / |ell|^2`` and the least-squares residual ``|ell* b| / |ell|``."""
+        q = np.sum(linalg.qmul(linalg.qconj(ell), b), axis=0) / ell_sq
+        return q, float(np.linalg.norm(q) * np.sqrt(ell_sq))
+
+    def woodbury(y: np.ndarray) -> np.ndarray:
+        """``z = y + G sigma`` with ``sigma = diag(S) z_h``, G the M^-1 tail columns."""
+        return y + G @ linalg.qsolve(A_right, linalg.qmul(S, y[h]))
+
+    b = np.zeros((n, 4))      # minus the first column of L'_s
+    b[:, 0] = -L0[:, 0]
+    np.add.at(b, t[h == 0], S[h == 0])
+    q, residual = project(b)
+    y = -linalg.qmul(M_ell, q)
+    y[:, 0] += right[:, len(K)]
+    y[0, 0] = 1.0
+    z = woodbury(y)           # L'_s z = -ell q
+    x_s = linalg.qmul(linalg.qconj(f_s), z)
+    std = StandardSolveResult(x_s, linalg.is_consistent(residual, b), _unit(x_s), True, None)
+
+    def dual_part(x_s: np.ndarray) -> DualSolveResult:
+        delta = linalg.qmul(u[K, 4:], z[h])   # -L'_d z, arc by arc
+        rhs = linalg.qmul(p_ell, q)
+        np.add.at(rhs, t, delta)
+        q_d, residual = project(rhs)
+        z_d = woodbury(G @ delta + linalg.qmul(M_p_ell, q) - linalg.qmul(M_ell, q_d))
+        x_d = linalg.qmul(linalg.qconj(f_s), z_d) + linalg.qmul(linalg.qconj(f_d), z)
+        unswitched = np.zeros((n, 4))     # -L_hat_d x_s
+        np.add.at(unswitched, tails, linalg.qmul(W[:, 4:], x_s[heads]))
+        return DualSolveResult(x_d, linalg.is_consistent(residual, unswitched),
+                               _orthogonal(x_s, x_d))
+
+    return std, dual_part
+
+
 # ---------------------------------------------------------------------------
 # The decision methods
 # ---------------------------------------------------------------------------
@@ -269,9 +415,12 @@ def _null_space_pipeline(g: WeightedDigraph, L_hat: np.ndarray,
 def _seeded_decide(g: WeightedDigraph, method: Method) -> BalanceReport:
     """`direct_method` on ``g``, or `gain_graph_method` on its symmetrization.
 
-    Only a graph whose spanning-tree potential has a bad arc builds the
-    Laplacian and runs the staged solves; an unbalanced verdict there carries
-    the cycle that the bad arc closes in the spanning forest as its witness.
+    Only a graph whose spanning-tree potential has a bad arc runs the staged
+    solves, in the frame switched by that potential (`_switched_solves`) or,
+    where that frame does not apply, on the dense Laplacian.  The bad arc
+    closes a cycle in the spanning forest; it is the witness of every
+    unbalanced verdict there, and a verdict of the staged solves that would
+    be balanced becomes ``cycle_found``, as in `wdg_similarity_method`.
     """
     name, symmetrize = f"{method.value}_method", method is Method.GAIN_GRAPH
     if not g.weight_type.is_unit:
@@ -291,8 +440,14 @@ def _seeded_decide(g: WeightedDigraph, method: Method) -> BalanceReport:
             return _potential_report(g, tp.theta, method)
         return BalanceReport(Verdict.INDETERMINATE, method,
                              failure_stage=FailureStage.ASSUMPTION_RANK)
-    report = _null_space_pipeline(g, laplacian(symmetrized_gain_graph(g) if symmetrize else g),
-                                  method)
+    solved = symmetrized_gain_graph(g) if symmetrize else g
+    switched = _switched_solves(solved, tp.theta)
+    report = (_staged_report(g, *switched, method) if switched is not None
+              else _null_space_pipeline(g, laplacian(solved), method))
+    if report.verdict is Verdict.BALANCED:
+        # The bad arc closes a cycle that is not neutral, whatever the
+        # certificate of the staged solution says.
+        report = BalanceReport(Verdict.UNBALANCED, method, failure_stage=FailureStage.CYCLE_FOUND)
     if report.verdict is Verdict.UNBALANCED:
         report = replace(report, witness=_closing_cycle(g, *tp.forest, tp.bad))
     return report
@@ -308,10 +463,25 @@ def direct_method(g: WeightedDigraph) -> BalanceReport:
     arc f is certified (`wdg_similarity_check`): it must conjugate L onto
     the magnitude Laplacian, which for unit weights is the unweighted one.
     (3) Otherwise the reduced standard and dual systems of ``L x = 0`` are
-    solved with the first entry pinned, to name the stage that fails.  A
-    standard part of rank below n-1, as on every graph without a directed
-    spanning tree, leaves the null space structure unknown and yields an
-    indeterminate verdict.
+    solved with the first entry pinned, to name the stage that fails.  They
+    are solved in the frame switched by f (`_switched_solves`), where
+    ``L' = diag(f) L diag(conj f)`` is the real unweighted Laplacian L0 less
+    a correction on the arcs K that do not factor through f.  L0 with column
+    1 and the row of a vertex r that every vertex reaches removed is
+    nonsingular and factored once; a Woodbury system in |K| quaternion
+    unknowns does the rest.  Each stage's least-squares residual is the
+    component of its right-hand side along the left null vector ``ell`` of
+    the reduced standard matrix (``ell_r = 1``), and the solution solves the
+    right-hand side projected off ``ell``, as the dense least squares would.
+    Two cases fall back to one SVD of the dense Laplacian's standard part
+    (`_null_space_pipeline`): no vertex is reached by every vertex (no
+    directed spanning tree), or a capacitance matrix has condition number
+    above ``1 / RANK_TOL``; so does a K too large for the Woodbury system to
+    be the cheaper (2|K| > n).  A standard part of rank below n-1, as on
+    every graph without a directed spanning tree, leaves the null space
+    structure unknown and yields an indeterminate verdict.  A bad arc of f
+    excludes a balanced verdict: the staged solves then end in
+    ``cycle_found`` with the closing cycle as the witness.
     """
     return _seeded_decide(g, Method.DIRECT)
 
@@ -335,8 +505,10 @@ def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
 
     A potential function transfers between the digraph and its
     symmetrization, so the verdict there is the verdict here.  The steps are
-    those of `direct_method`, with the staged solves on the symmetrization;
-    the potential is certified on the input graph's own arcs.
+    those of `direct_method`, with the staged solves on the symmetrization,
+    switched by the same potential (K then holds both orientations of each
+    arc that does not factor); the potential is certified on the input
+    graph's own arcs.
     """
     return _seeded_decide(g, Method.GAIN_GRAPH)
 

@@ -270,15 +270,15 @@ def is_weakly_connected(g: Digraph) -> bool:
     return int(np.count_nonzero(spanning_forest(g)[0] < 0)) == 1
 
 
-def has_directed_spanning_tree(g: Digraph) -> bool:
-    """True iff some vertex is reachable from every other vertex by directed paths.
+def mother_vertex(g: Digraph) -> int | None:
+    """A vertex reachable from every vertex by a directed path, or None if none is.
 
-    Such a vertex reaches every vertex along the reversed arcs.  A search of
-    the reversed graph that starts again at each vertex not yet reached
-    leaves a reached set that is closed under reachability, so the search
-    that reaches such a vertex reaches all the rest: the last vertex started
-    from is one if any is (the mother-vertex argument).  A second search
-    from it decides.
+    Such a vertex reaches every vertex along the reversed arcs: it is a
+    mother vertex of the reversed graph.  A search of the reversed graph that
+    starts again at each vertex not yet reached leaves a reached set that is
+    closed under reachability, so the search that reaches such a vertex
+    reaches all the rest: the last vertex started from is one if any is.  A
+    second search from it decides.  Returns the 1-based vertex.
     """
     into = [[] for _ in range(g.n)]
     for i, j in g.arcs:
@@ -299,7 +299,13 @@ def has_directed_spanning_tree(g: Digraph) -> bool:
             last = v
     reached = [False] * g.n
     search(last, reached)
-    return all(reached)
+    return last + 1 if all(reached) else None
+
+
+def has_directed_spanning_tree(g: Digraph) -> bool:
+    """True iff some vertex is reachable from every other vertex by directed paths
+    (a spanning tree with every arc directed towards that root; see `mother_vertex`)."""
+    return mother_vertex(g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ A quaternion matrix ``A`` expands to the real matrix ``real_expand(A)`` of
 shape ``(4m, 4n)`` and to its complex adjoint ``complex_adjoint(A)`` of shape
 ``(2m, 2n)``.  Both are ring homomorphisms that map the conjugate transpose
 to the (Hermitian) transpose, which is what lets ordinary real or complex
-solvers handle quaternion linear systems.  The solvers use the complex
-adjoint: it has the same singular values (each twice instead of four times)
-at half the dimension.
+solvers handle quaternion linear systems.  The least-squares solver uses
+the complex adjoint: it has the same singular values (each twice instead of
+four times) at half the dimension.  `qsolve`, for small square systems,
+solves the real expansion.
 
 The Hamilton product is written once, in `qmul`.  Its structure table
 ``T[c, d] = e_c e_d`` on the basis quaternions, taken from `qmul`, gives
@@ -143,9 +144,12 @@ def complex_adjoint(A: np.ndarray) -> np.ndarray:
     four times.
     """
     A = _check_qmat(A)
+    m, n = A.shape[:2]
     z1 = A[:, :, 0] + 1j * A[:, :, 1]
     z2 = A[:, :, 2] + 1j * A[:, :, 3]
-    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+    out = np.empty((2 * m, 2 * n), dtype=complex)
+    out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = z1, z2, -z2.conj(), z1.conj()
+    return out
 
 
 def _adjoint_column(b: np.ndarray) -> np.ndarray:
@@ -204,6 +208,19 @@ class QuatLeastSquares:
         x = (self._vh.T @ coeff.conj()).conj()
         residual = float(np.linalg.norm(rv - self._u @ (coeff * self._s)))
         return _from_adjoint_column(x), residual
+
+
+def qsolve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of the square quaternion system A x = b, (n,n,4) and (n,4) -> (n,4).
+
+    Solves the real expansion; a singular ``A`` raises `numpy.linalg.LinAlgError`.
+    """
+    A = _check_qmat(A)
+    b = np.asarray(b, dtype=np.float64)
+    if A.shape[0] != A.shape[1] or b.shape != (A.shape[0], 4):
+        raise ShapeMismatchError(f"need a square matrix and a matching vector: {A.shape}, {b.shape}")
+    # real_expand orders a vector component-major: every w, then every x, y and z.
+    return np.linalg.solve(real_expand(A), b.T.reshape(-1)).reshape(4, len(b)).T
 
 
 def is_consistent(residual: float, b: np.ndarray) -> bool:
@@ -293,7 +310,7 @@ __all__ = [
     "RANK_TOL", "SOLVE_TOL", "ShapeMismatchError",
     "qconj", "qmul", "qmat_mul", "qmat_conj_transpose",
     "real_expand", "complex_adjoint",
-    "QuatLeastSquares", "is_consistent", "rank",
+    "QuatLeastSquares", "qsolve", "is_consistent", "rank",
     "dq_standard", "dq_dual", "dq_join", "dqconj", "dqmul", "dqinv",
     "dqmat_mul", "dqmat_apply",
     "dqvec_to_scalars", "fr_norm",

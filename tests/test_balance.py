@@ -434,7 +434,7 @@ UNIT_TYPES = [WeightType.UNIT_DUAL_QUATERNION, WeightType.UNIT_COMPLEX]
 @pytest.fixture
 def no_staged_solve(monkeypatch):
     def unused(*args, **kwargs):
-        raise AssertionError("a balanced decide built the Laplacian or factored it")
+        raise AssertionError("a decide built the dense Laplacian or factored it")
     monkeypatch.setattr(linalg.QuatLeastSquares, "__init__", unused)
     monkeypatch.setattr(balance, "laplacian", unused)
 
@@ -516,6 +516,83 @@ def test_seed_route_matches_the_staged_pipeline():
     assert seen["direct", "indeterminate", False] >= 50
     assert seen["gain_graph", "balanced", False] >= 50
     assert seen["gain_graph", "unbalanced", False] >= 10
+
+
+def test_switched_frame_matches_the_dense_pipeline(monkeypatch):
+    # Every decide that reaches the staged solves against the staged solves on
+    # the unswitched dense Laplacian: perturbed and nudged cycles up to
+    # n = 40 and random graphs with n = 3-11, both unit types, both methods.
+    routes = []
+    switched_solves = balance._switched_solves
+
+    def recorded(*args):
+        out = switched_solves(*args)
+        routes.append("switched" if out is not None else "dense")
+        return out
+    monkeypatch.setattr(balance, "_switched_solves", recorded)
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in (3, 4, 5, 8, 13, 21, 40):
+        for wt in UNIT_TYPES:
+            g = gen_cycle(n, wt, rng)
+            cases += [perturb(g, cycle_arc(g), rng),
+                      nudged(g, cycle_arc(g), 10.0 ** rng.uniform(-6.0, -2.0), rng)]
+    for trial in range(800):
+        g = gen_random_balanced(int(rng.integers(3, 12)), float(rng.uniform(0.0, 0.3)),
+                                UNIT_TYPES[trial % 2], rng, directed_spanning_tree=trial % 3 == 0)
+        for k in rng.choice(len(g.arcs), size=min(1 + trial % 3, len(g.arcs)), replace=False):
+            g = (perturb(g, g.arcs[k], rng) if trial % 2
+                 else nudged(g, g.arcs[k], 10.0 ** rng.uniform(-6.0, -2.0), rng))
+        cases.append(g)
+    seen = Counter()
+    for g in cases:
+        if _tree_potential(g).bad is None or check_symmetry_pairs(g) is not None:
+            continue
+        for method, solved in ((direct_method, g), (gain_graph_method, symmetrized_gain_graph(g))):
+            report = method(g)
+            reference = _null_space_pipeline(g, laplacian(solved), report.method)
+            assert (report.verdict, report.failure_stage) == (
+                reference.verdict, reference.failure_stage), (method.__name__, g.arcs)
+            seen[routes[-1], reference.failure_stage] += 1
+    assert sum(seen[route, stage] for route, stage in seen if route == "dense") >= 1, seen
+    for stage in (FailureStage.STANDARD_SOLVE, FailureStage.UNIT_CHECK, FailureStage.DUAL_SOLVE,
+                  FailureStage.SIMILARITY_CHECK):
+        assert seen["switched", stage] >= 20, seen
+    assert sum(seen[route, stage] for route, stage in seen if route == "switched") >= 500, seen
+
+
+@pytest.mark.parametrize("wt", UNIT_TYPES)
+def test_perturbed_two_thousand_cycle_is_decided_in_the_switched_frame(no_staged_solve, wt):
+    # The dense route would factor a 4000 x 3998 complex adjoint.
+    g = gen_cycle(2000, wt, 0)
+    g = perturb(g, cycle_arc(g), 1)
+    for method in (direct_method, gain_graph_method):
+        report = method(g)
+        assert (report.verdict, report.failure_stage) == (Verdict.UNBALANCED,
+                                                          FailureStage.STANDARD_SOLVE)
+        assert cycle_deviation(g, report.witness) > BALANCE_TOL
+
+
+def test_a_bad_arc_excludes_a_balanced_verdict():
+    # The 36th graph of a stream of random graphs with one arc nudged by
+    # 10^U(-9, -7): the staged solution passes the potential certificate, yet
+    # the tree potential fails on an arc whose closing cycle is not neutral.
+    rng = np.random.default_rng(5)
+    for trial in range(36):
+        g = gen_random_balanced(int(rng.integers(3, 10)), float(rng.uniform(0.0, 0.3)),
+                                UNIT_TYPES[trial % 2], rng, directed_spanning_tree=True)
+        g = nudged(g, g.arcs[int(rng.integers(len(g.arcs)))], 10.0 ** rng.uniform(-9.0, -7.0),
+                   rng)
+    assert _tree_potential(g).bad is not None
+    expected = wdg_similarity_method(g)
+    assert expected.failure_stage is FailureStage.CYCLE_FOUND
+    for method, solved in ((direct_method, g), (gain_graph_method, symmetrized_gain_graph(g))):
+        report = method(g)
+        assert _null_space_pipeline(g, laplacian(solved), report.method).verdict is Verdict.BALANCED
+        assert (report.verdict, report.failure_stage) == (Verdict.UNBALANCED,
+                                                          FailureStage.CYCLE_FOUND)
+        assert report.witness == expected.witness
+        assert cycle_deviation(g, report.witness) > BALANCE_TOL
 
 
 def level_loop_theta(g):

@@ -27,6 +27,7 @@ from dqbalance.graphs import (
     has_directed_spanning_tree,
     is_weakly_connected,
     laplacian,
+    mother_vertex,
     spanning_forest,
     unweighted_laplacian,
     walk_weight,
@@ -189,6 +190,22 @@ def test_directed_spanning_tree(rng):
     assert has_directed_spanning_tree(Digraph(3, ((1, 3), (2, 1), (3, 2))))
     # one source feeding two sinks: neither sink reaches the other
     assert not has_directed_spanning_tree(Digraph(3, ((1, 2), (1, 3))))
+
+
+def test_mother_vertex_is_the_last_search_start():
+    # Every vertex reaches 4 and 4 alone is reached by all: the searches of the
+    # reversed graph start at 1, 2, 3 and 4 in turn, and 4 is the last.
+    g = Digraph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
+    assert mother_vertex(g) == 4
+    assert has_directed_spanning_tree(g)
+    assert mother_vertex(Digraph(3, ((1, 3), (2, 3)))) == 3
+
+
+def test_graph_without_a_mother_vertex():
+    # Two sinks, 2 and 3: neither reaches the other.
+    g = Digraph(3, ((1, 2), (1, 3)))
+    assert mother_vertex(g) is None
+    assert not has_directed_spanning_tree(g)
 
 
 def test_directed_spanning_tree_agrees_with_zero_eigenvalue():

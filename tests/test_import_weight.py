@@ -17,10 +17,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import sys
-from dqbalance import check_balance, gen_random_balanced
+from dqbalance import check_balance, cycle_arc, gen_cycle, gen_random_balanced, perturb
 g = gen_random_balanced(8, 0.3, "unit_dual_quaternion", 1)
 for method in ("direct", "gain_graph", "cycle_oracle"):
     check_balance(g, method)
+c = gen_cycle(12, "unit_dual_quaternion", 1)
+c = perturb(c, cycle_arc(c), 1)     # a bad arc: the staged solves in the switched frame
+for method in ("direct", "gain_graph"):
+    assert check_balance(c, method).failure_stage.value == "standard_solve"
 check_balance(gen_random_balanced(8, 0.3, "dual_quaternion", 1), "wdg_similarity")
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

@@ -16,6 +16,7 @@ from dqbalance.linalg import (
     fr_norm,
     is_consistent,
     qmat_mul,
+    qsolve,
     rank,
     real_expand,
 )
@@ -130,6 +131,16 @@ def test_solver_reuse_matches_single_shot(rng):
         x1, r1 = solver.solve(b)
         x2, r2 = QuatLeastSquares(A).solve(b)
         assert np.allclose(x1, x2) and r1 == pytest.approx(r2)
+
+
+def test_square_solve_inverts_the_matrix_product(rng):
+    A = random_qmat(rng, 5, 5)
+    x = rng.normal(size=(5, 4))
+    b = qmat_mul(A, x[:, None, :])[:, 0, :]
+    assert np.allclose(qsolve(A, b), x, atol=1e-10)
+    assert np.allclose(qsolve(A, b), QuatLeastSquares(A).solve(b)[0], atol=1e-10)
+    with pytest.raises(ShapeMismatchError):
+        qsolve(random_qmat(rng, 5, 4), np.zeros((5, 4)))
 
 
 def test_solve_shape_mismatch():
