@@ -38,6 +38,7 @@ be checked concurrently.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -110,21 +111,57 @@ class FailureStage(str, Enum):
     CYCLE_FOUND = "cycle_found"
 
 
+class FormationView(Sequence):
+    """Read-only ``Sequence[DualQuaternion]`` view of an (n, 8) array; item
+    ``v - 1`` is vertex v's value, built on access.
+
+    ``np.asarray`` gives the read-only array itself, without a copy.  Views
+    compare and hash by value.
+    """
+
+    def __init__(self, array: np.ndarray):
+        self._array = np.asarray(array, dtype=np.float64).reshape(-1, 8)     # a new view
+        self._array.setflags(write=False)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return FormationView(self._array[k])
+        return DualQuaternion.from_array(self._array[operator.index(k)])
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._array, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        if not isinstance(other, FormationView):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self):
+        return hash(tuple(self._array.ravel().tolist()))
+
+    def __repr__(self) -> str:
+        return f"FormationView({self._array.tolist()!r})"
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """Outcome of a balance check.
 
-    ``formation`` is present on balanced verdicts.  Every method reports the
-    same kind per weight type: for unit weight types the formation vector
-    (satisfying ``weight(i,j) == conj(f_i) * f_j`` on every arc), for general
-    weights the inverse-potential vector.  ``err`` is the similarity residual
-    of the potential certificate (`wdg_similarity_check`); ``witness``
-    carries a non-neutral cycle when one is known.
+    ``formation`` is present on balanced verdicts, a `FormationView` of an
+    (n, 8) array, row v - 1 for vertex v.  Every method reports the same kind
+    per weight type: for unit weight types the formation vector (satisfying
+    ``weight(i,j) == conj(f_i) * f_j`` on every arc), for general weights the
+    inverse-potential vector.  ``err`` is the similarity residual of the
+    potential certificate (`wdg_similarity_check`); ``witness`` carries a
+    non-neutral cycle when one is known.
     """
 
     verdict: Verdict
     method: Method
-    formation: tuple[DualQuaternion, ...] | None = None
+    formation: FormationView | None = None
     err: float | None = None
     failure_stage: FailureStage | None = None
     witness: OrientedCycle | None = None
@@ -497,7 +534,7 @@ def symmetrized_gain_graph(g: WeightedDigraph) -> WeightedDigraph:
     lonely = np.flatnonzero(arc_positions(g.graph, g.graph.heads + 1, g.graph.tails + 1) < 0)
     arcs = g.arcs + tuple((g.arcs[k][1], g.arcs[k][0]) for k in lonely)
     rows = np.concatenate([g.weight_array, step_weights(g, lonely, np.zeros(lonely.shape, bool))])
-    return build(g.n, arcs, dict(zip(arcs, rows)), g.weight_type)
+    return build(g.n, arcs, rows, g.weight_type)
 
 
 def gain_graph_method(g: WeightedDigraph) -> BalanceReport:
@@ -701,8 +738,7 @@ def _potential_report(g: WeightedDigraph, theta: np.ndarray, method: Method) -> 
         return BalanceReport(Verdict.UNBALANCED, method, err=err,
                              failure_stage=FailureStage.SIMILARITY_CHECK)
     formation = theta if g.weight_type.is_unit else _inverse_potential(theta)
-    return BalanceReport(Verdict.BALANCED, method, err=err,
-                         formation=tuple(linalg.dqvec_to_scalars(formation)))
+    return BalanceReport(Verdict.BALANCED, method, err=err, formation=FormationView(formation))
 
 
 def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:

@@ -79,8 +79,7 @@ def _potential_graph(n: int, tails: np.ndarray, heads: np.ndarray, weight_type: 
     """Graph on the sorted 0-based arcs ``(tails, heads)`` weighted ``theta_i^-1 theta_j c_ij``."""
     theta = np.array(theta, dtype=np.float64).reshape(n, 8)
     W = linalg.dqmul(inverse_weights(weight_type, theta[tails]), theta[heads]) * c[:, None]
-    arcs = list(zip((tails + 1).tolist(), (heads + 1).tolist()))
-    return build(n, arcs, dict(zip(arcs, W)), weight_type)
+    return build(n, zip((tails + 1).tolist(), (heads + 1).tolist()), W, weight_type)
 
 
 def gen_cycle(n: int, weight_type: WeightType | str, seed) -> WeightedDigraph:
@@ -172,7 +171,7 @@ def apply_switching(g: WeightedDigraph, zeta) -> WeightedDigraph:
     Z = np.array([zeta[v] for v in range(1, g.n + 1)], dtype=np.float64).reshape(g.n, 8)
     left = inverse_weights(g.weight_type, Z[g.graph.tails])
     W = linalg.dqmul(linalg.dqmul(left, g.weight_array), Z[g.graph.heads])
-    return build(g.n, g.arcs, dict(zip(g.arcs, W)), g.weight_type)
+    return build(g.n, g.arcs, W, g.weight_type)
 
 
 def random_switching(g: WeightedDigraph, seed) -> dict[int, DualQuaternion]:

@@ -9,10 +9,11 @@ function, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -80,46 +81,80 @@ class WeightType(str, Enum):
         return self in (WeightType.COMPLEX, WeightType.REAL)
 
 
-def _is_vertex_number(v) -> bool:
-    """Python or NumPy integer, not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def _is_vertex_type(kind: type) -> bool:
+    """Python or NumPy integer type, not bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+# Largest vertex count whose arc keys ``n * tail + head`` and sentinel ``n * n`` fit an intp.
+MAX_VERTICES = math.isqrt(int(np.iinfo(np.intp).max))
 
 
 @dataclass(frozen=True)
 class Digraph:
     """A loopless simple directed graph on vertices 1..n; ``arcs`` are sorted,
     ``tails``/``heads`` are read-only arrays of their 0-based ends and
-    ``arc_keys`` of their increasing keys ``n * tail + head``, then ``n * n``."""
+    ``arc_keys`` of their increasing keys ``n * tail + head``, then ``n * n``.
+    ``order[k]`` is the position of ``arcs[k]`` in the arcs as given."""
 
     n: int
     arcs: tuple[tuple[int, int], ...]
     tails: np.ndarray = field(init=False, repr=False, compare=False)
     heads: np.ndarray = field(init=False, repr=False, compare=False)
     arc_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (_is_vertex_number(self.n) and self.n >= 1):
+        if not (_is_vertex_type(type(self.n)) and self.n >= 1):
             raise ValueError(f"need a positive integer vertex count, not {self.n!r}")
-        seen = set()
-        for (i, j) in self.arcs:
-            if not (type(i) is type(j) is int or _is_vertex_number(i) and _is_vertex_number(j)):
-                raise ValueError(f"arc ({i!r}, {j!r}): vertex numbers must be integers")
-            if i == j:
-                raise LoopArcError(f"loop arc ({i}, {i})")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"arc ({i}, {j}) out of range 1..{self.n}")
-            if (i, j) in seen:
-                raise DuplicateArcError(f"duplicate arc ({i}, {j})")
-            seen.add((i, j))
-        arcs = tuple(sorted(self.arcs))
-        ends = np.array(arcs, dtype=np.intp).reshape(len(arcs), 2) - 1
-        keys = np.append(ends @ (self.n, 1), self.n * self.n)
-        ends.setflags(write=False)
-        keys.setflags(write=False)
-        object.__setattr__(self, "arcs", arcs)
+        n = int(self.n)
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices: the arc keys n * n would overflow an intp")
+        # The whole list is checked at once; only a list with a fault runs
+        # `_first_arc_fault`, which names the first offending arc in listed order.
+        try:
+            flat = list(chain.from_iterable(self.arcs))
+            valid = (set(map(len, self.arcs)) <= {2}
+                     and all(map(_is_vertex_type, set(map(type, flat)))))
+            ends = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 2) - 1
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if valid:
+            tails, heads = ends[:, 0], ends[:, 1]
+            keys = tails * n + heads
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            valid = (np.all((tails >= 0) & (tails < n) & (heads >= 0) & (heads < n))
+                     and not np.any(tails == heads) and not np.any(keys[1:] == keys[:-1]))
+        if not valid:
+            _first_arc_fault(n, self.arcs)
+        ends = ends[order]
+        keys = np.append(keys, n * n)
+        for a in (ends, keys, order):
+            a.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", tuple(zip(*(ends + 1).T.tolist())))
         object.__setattr__(self, "tails", ends[:, 0])
         object.__setattr__(self, "heads", ends[:, 1])
         object.__setattr__(self, "arc_keys", keys)
+        object.__setattr__(self, "order", order)
+
+
+def _first_arc_fault(n: int, arcs) -> None:
+    """Raise for the first arc, in listed order, that is not a new arc between two
+    distinct vertices of 1..n."""
+    seen = set()
+    for (i, j) in arcs:
+        if not (_is_vertex_type(type(i)) and _is_vertex_type(type(j))):
+            raise ValueError(f"arc ({i!r}, {j!r}): vertex numbers must be integers")
+        if i == j:
+            raise LoopArcError(f"loop arc ({i}, {i})")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"arc ({i}, {j}) out of range 1..{n}")
+        if (i, j) in seen:
+            raise DuplicateArcError(f"duplicate arc ({i}, {j})")
+        seen.add((i, j))
+    raise ValueError("arcs must be pairs of vertex numbers")
 
 
 def arc_positions(g: Digraph, tails, heads) -> np.ndarray:
@@ -214,24 +249,34 @@ class WeightedDigraph:
 
     def with_weight(self, arc: tuple[int, int], w: DualQuaternion) -> "WeightedDigraph":
         """Copy of the graph with one arc's weight replaced."""
-        if arc not in self.weights:
+        k = int(arc_positions(self.graph, *arc))
+        if k < 0:
             raise ArcNotFoundError(arc)
-        return build(self.n, self.arcs, {**dict(zip(self.arcs, self.weight_array)), arc: w},
-                     self.weight_type)
+        W = self.weight_array.copy()
+        W[k] = np.asarray(w, dtype=np.float64).reshape(8)
+        return build(self.n, self.arcs, W, self.weight_type)
 
 
 def build(n: int,
           arcs: Iterable[tuple[int, int]],
-          weights: Mapping[tuple[int, int], DualQuaternion],
+          weights: np.ndarray | Mapping[tuple[int, int], DualQuaternion],
           weight_type: WeightType | str) -> WeightedDigraph:
-    """Validated weighted digraph from arcs and an arc -> weight (`DualQuaternion`
-    or eight floats, standard then dual part) mapping."""
+    """Validated weighted digraph from arcs and their weights.
+
+    ``weights`` is an (m, 8) array whose row k, standard then dual part, is
+    the weight of the k-th arc as listed, or a mapping from arc to weight
+    (`DualQuaternion` or eight floats), which is read into that array.
+    """
     weight_type = WeightType(weight_type)
     graph = Digraph(n, tuple(arcs))
-    missing = [a for a in graph.arcs if a not in weights]
-    if missing:
-        raise ValueError(f"missing weights for arcs {missing}")
-    W = np.array([weights[a] for a in graph.arcs], dtype=np.float64).reshape(len(graph.arcs), 8)
+    m = len(graph.arcs)
+    if isinstance(weights, Mapping):
+        missing = [a for a in graph.arcs if a not in weights]
+        if missing:
+            raise ValueError(f"missing weights for arcs {missing}")
+        W = np.array([weights[a] for a in graph.arcs], dtype=np.float64).reshape(m, 8)
+    else:
+        W = np.asarray(weights, dtype=np.float64).reshape(m, 8)[graph.order]
     _check_weights(graph.arcs, W, weight_type)
     W.setflags(write=False)
     return WeightedDigraph(graph, weight_type, W)

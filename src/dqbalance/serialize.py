@@ -18,13 +18,15 @@ Graph files look like::
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .balance import BalanceReport
-from .graphs import OrientedCycle, WeightedDigraph, WeightType, build
+from .graphs import MAX_VERTICES, OrientedCycle, WeightedDigraph, WeightType, build
 
 
 class GraphFormatError(ValueError):
@@ -40,32 +42,60 @@ def graph_to_obj(g: WeightedDigraph) -> dict:
     }
 
 
-def _integer(value):
-    """A JSON integer as is; anything else (a bool, float or string) raises."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
+def _check_integers(values: list) -> None:
+    """Raise for the first value that is not a JSON integer (a bool, float or string)."""
+    if not set(map(type, values)) <= {int}:
+        raise TypeError(f"{next(v for v in values if type(v) is not int)!r} is not an integer")
+
+
+def _is_number_type(kind: type) -> bool:
+    """A Python or NumPy integer or float type, not bool."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
+
+
+def _component_error(parts: list) -> GraphFormatError:
+    """The error for weight parts that are not four numbers each, as numpy reads them."""
+    try:
+        rows = np.array(parts)
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
+    except (TypeError, ValueError) as exc:
+        return GraphFormatError(f"malformed graph document: {exc!r}")
+    if rows.shape[1:] != (2, 4):
+        return GraphFormatError("weight parts must have four components each")
+    names = ", ".join(sorted(kind.__name__ for kind in kinds))
+    return GraphFormatError(f"weight components must be numbers, got {names}")
 
 
 def graph_from_obj(obj) -> WeightedDigraph:
+    """Graph from a parsed document: the arcs' ends are read into one list and
+    their weights into one flat (m, 8) array, each checked as a whole.
+
+    Integer weight components are read as floats; one beyond the float range
+    is rejected.
+    """
     try:
-        n = _integer(obj["n"])
+        n = obj["n"]
+        _check_integers([n])
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices, more than the {MAX_VERTICES} an arc key can index")
         weight_type = WeightType(obj["weight_type"])
-        arcs = [(_integer(entry["tail"]), _integer(entry["head"])) for entry in obj["arcs"]]
-        parts = [(entry["w"]["s"], entry["w"]["d"]) for entry in obj["arcs"]]
-        # No dtype, so that numpy keeps a string or null component as such
-        # instead of converting it to a float.  A boolean beside numbers it
-        # would read as 0 or 1, so the component types are taken in one pass.
-        rows = np.array(parts)
-        kinds = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
+        ends = list(map(itemgetter("tail", "head"), obj["arcs"]))
+        _check_integers(list(chain.from_iterable(ends)))
+        parts = list(map(itemgetter("s", "d"), map(itemgetter("w"), obj["arcs"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc!r}") from None
-    if arcs and rows.shape[1:] != (2, 4):
-        raise GraphFormatError("weight parts must have four components each")
-    if arcs and (rows.dtype.kind not in "iuf" or bool in kinds):
-        names = ", ".join(sorted(kind.__name__ for kind in kinds))
-        raise GraphFormatError(f"weight components must be numbers, got {names}")
-    return build(n, arcs, dict(zip(arcs, rows.reshape(len(arcs), 8))), weight_type)
+    try:
+        lengths = set(map(len, chain.from_iterable(parts)))
+        flat = list(chain.from_iterable(chain.from_iterable(parts)))
+    except TypeError:
+        raise _component_error(parts) from None
+    if not (lengths <= {4} and all(map(_is_number_type, set(map(type, flat))))):
+        raise _component_error(parts)
+    try:
+        W = np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(len(ends), 8)
+    except OverflowError:
+        raise GraphFormatError("weight components must be numbers in the float range") from None
+    return build(n, ends, W, weight_type)
 
 
 def dumps_graph(g: WeightedDigraph, indent: int | None = 2) -> str:
@@ -73,11 +103,27 @@ def dumps_graph(g: WeightedDigraph, indent: int | None = 2) -> str:
 
 
 def loads_graph(text: str) -> WeightedDigraph:
+    """Graph from a JSON document (see `graph_from_obj`).
+
+    The cyclic garbage collector rests while the document is parsed and
+    decoded, and the caller's setting is restored on return.  The tree that
+    `json.loads` builds holds no reference cycles, so reference counting frees
+    all of it; a collection during the parse would only traverse it, and
+    promote it to the older generations that full collections traverse again.
+    The setting is process-wide: parses on other threads may overlap, which
+    costs collection time, never a result.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return graph_from_obj(obj)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"invalid JSON: {exc}") from None
+        return graph_from_obj(obj)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_graph(g: WeightedDigraph, path) -> None:
@@ -103,7 +149,7 @@ def report_to_obj(report: BalanceReport) -> dict:
         "method": report.method.value,
         "err": report.err,
         "failure_stage": report.failure_stage.value if report.failure_stage else None,
-        "formation": ([list(f.to_array()) for f in report.formation]
+        "formation": (np.asarray(report.formation).tolist()
                       if report.formation is not None else None),
         "witness": cycle_to_obj(report.witness) if report.witness else None,
         "seconds": report.seconds,

@@ -10,6 +10,7 @@ from dqbalance.algebra import DualQuaternion, Quaternion, random_udq, udq_from_m
 from dqbalance.balance import (
     BALANCE_TOL,
     FailureStage,
+    FormationView,
     Method,
     NonInvertibleThetaError,
     NotConnectedError,
@@ -464,6 +465,41 @@ def test_ten_thousand_cycle_is_decided_without_a_solve(no_staged_solve):
         report = method(g)
         assert report.verdict is Verdict.BALANCED
         assert report.err < 1e-10
+
+
+
+def test_balanced_decides_build_no_scalar_objects(monkeypatch):
+    # The formation stays an (n, 8) array: no `Quaternion` is built on the way.
+    g = gen_cycle(2000, WeightType.UNIT_DUAL_QUATERNION, 0)
+
+    def unused(self):
+        raise AssertionError("a decide built a Quaternion")
+    monkeypatch.setattr(Quaternion, "__post_init__", unused)
+    for method in (direct_method, gain_graph_method, wdg_similarity_method):
+        report = method(g)
+        assert report.verdict is Verdict.BALANCED
+        assert np.asarray(report.formation).shape == (2000, 8)
+
+
+def test_formation_view_contract(rng):
+    g = gen_random_balanced(6, 0.3, WeightType.UNIT_DUAL_QUATERNION, rng)
+    report = direct_method(g)
+    f = report.formation
+    array = np.asarray(f)
+    assert len(f) == 6 and array.shape == (6, 8)
+    assert np.asarray(f) is array and not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0] = 2.0
+    items = list(f)
+    assert all(type(x) is DualQuaternion for x in items)
+    assert [x.to_array().tolist() for x in items] == array.tolist()
+    assert f[-1] == items[-1] and f[0] == items[0]
+    with pytest.raises(IndexError):
+        f[6]
+    again = direct_method(g)
+    assert again == report and hash(again) == hash(report)
+    assert again.formation is not f and again.formation == f
+    assert f != FormationView(array * 2.0)
 
 
 def nudged(g, arc, size, rng):

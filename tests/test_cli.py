@@ -105,6 +105,15 @@ def test_unknown_weight_type_in_a_graph_file_is_io_error(tmp_path, capsys):
     assert "octonion" in err
 
 
+def test_a_vertex_count_beyond_the_arc_keys_is_io_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    arc = {"tail": 1, "head": 2, "w": {"s": [1.0, 0.0, 0.0, 0.0], "d": [0.0] * 4}}
+    path.write_text(json.dumps({"n": 2 ** 32, "weight_type": "real", "arcs": [arc]}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 4
+    assert "4294967296 vertices" in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/g.json")
     assert code == 4

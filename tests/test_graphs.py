@@ -1,6 +1,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqbalance.algebra import (
     DualQuaternion,
@@ -16,6 +18,7 @@ from dqbalance.graphs import (
     DuplicateArcError,
     InvalidWalkError,
     LoopArcError,
+    MAX_VERTICES,
     NonAppreciableWeightError,
     NonUnitWeightError,
     OrientedCycle,
@@ -77,6 +80,83 @@ def test_build_rejects_loops_and_duplicates():
     assert Digraph(3, ((np.int64(1), np.int32(2)),)).arcs == ((1, 2),)
     with pytest.raises(ValueError, match="positive integer vertex count"):
         Digraph(3.5, ((1, 2),))
+
+
+def scalar_digraph(n, arcs):
+    """The arc validation `Digraph` did one arc at a time, kept as the reference:
+    ``(arcs, tails, heads, arc_keys)``, or the exception it raises."""
+    def vertex_number(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    seen = set()
+    for (i, j) in arcs:
+        if not (type(i) is type(j) is int or vertex_number(i) and vertex_number(j)):
+            raise ValueError(f"arc ({i!r}, {j!r}): vertex numbers must be integers")
+        if i == j:
+            raise LoopArcError(f"loop arc ({i}, {i})")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"arc ({i}, {j}) out of range 1..{n}")
+        if (i, j) in seen:
+            raise DuplicateArcError(f"duplicate arc ({i}, {j})")
+        seen.add((i, j))
+    arcs = tuple(sorted(arcs))
+    ends = np.array(arcs, dtype=np.intp).reshape(len(arcs), 2) - 1
+    return arcs, ends[:, 0], ends[:, 1], np.append(ends @ (n, 1), n * n)
+
+
+@st.composite
+def arc_lists(draw):
+    """A vertex count and a list of distinct arcs in random order, with loops,
+    duplicates, out-of-range or boolean ends and NumPy integer ends put in."""
+    n = draw(st.integers(1, 6))
+    every = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    arcs = draw(st.permutations(every))[:draw(st.integers(0, len(every)))]
+    vertex = st.integers(1, n)
+    for fault in draw(st.lists(st.sampled_from(["loop", "duplicate", "range", "bool", "numpy"]),
+                               max_size=3)):
+        k = draw(st.integers(0, len(arcs)))
+        if fault == "loop":
+            v = draw(vertex)
+            arcs.insert(k, (v, v))
+        elif fault == "duplicate" and arcs:
+            arcs.insert(k, draw(st.sampled_from(arcs)))
+        elif fault == "range":
+            bad = draw(st.sampled_from([0, -1, n + 1, 2 ** 70, np.int64(-2 ** 63)]))
+            arcs.insert(k, draw(st.permutations([bad, draw(vertex)])))
+        elif fault == "bool":
+            arcs.insert(k, tuple(draw(st.permutations([draw(st.booleans()), draw(vertex)]))))
+        elif fault == "numpy" and k < len(arcs) and all(type(v) is int and 0 <= v < 256
+                                                        for v in arcs[k]):
+            kind = draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+            arcs[k] = (kind(arcs[k][0]), arcs[k][1] if draw(st.booleans()) else kind(arcs[k][1]))
+    return n, [tuple(a) for a in arcs]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(arc_lists())
+def test_whole_array_validation_matches_the_scalar_loop(case):
+    n, arcs = case
+    try:
+        expected = scalar_digraph(n, arcs)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            Digraph(n, tuple(arcs))
+        assert str(raised.value) == str(exc)
+        return
+    g = Digraph(n, tuple(arcs))
+    assert g.arcs == expected[0]
+    for got, want in zip((g.tails, g.heads, g.arc_keys), expected[1:]):
+        assert got.dtype == np.intp and np.array_equal(got, want)
+    assert [arcs[k] for k in g.order] == list(g.arcs)
+
+
+def test_a_vertex_count_whose_arc_keys_overflow_is_rejected():
+    # At n = 2**32, n * n overflows an int64: the keys would silently wrap.
+    with pytest.raises(ValueError, match="overflow"):
+        Digraph(2 ** 32, ((1, 2),))
+    g = Digraph(MAX_VERTICES, ((1, MAX_VERTICES), (MAX_VERTICES, 1)))
+    assert g.arc_keys.dtype == np.intp
+    assert g.arc_keys.tolist() == [MAX_VERTICES - 1, (MAX_VERTICES - 1) * MAX_VERTICES,
+                                   MAX_VERTICES ** 2]
 
 
 def test_build_rejects_non_unit_weight():
@@ -157,6 +237,10 @@ def test_weights_view_equals_the_built_mapping_bit_for_bit(rng, wt):
         assert g.weights[a].to_array().tobytes() == weights[a].to_array().tobytes()
     rows = np.array([weights[a].to_array() for a in sorted(arcs)])
     assert g.weight_array.tobytes() == rows.tobytes()
+    # The same weights as an array aligned with the arcs as listed.
+    listed = np.array([weights[a].to_array() for a in arcs])
+    assert build(4, arcs, listed, wt).weight_array.tobytes() == rows.tobytes()
+    assert listed.flags.writeable
     with pytest.raises(TypeError):
         g.weights[(1, 2)] = weights[(1, 2)]
     for absent in [(2, 1), (1, 4), (4, 5), (0, 1), (1, 1)]:

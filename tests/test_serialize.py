@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -70,6 +71,72 @@ def test_malformed_documents():
         with pytest.raises(GraphFormatError):
             graph_from_obj(one_arc_document(**bad))
 
+
+
+ARC = one_arc_document()["arcs"][0]
+MESSAGES = [
+    # (document, message), the messages of the decoder that read the weights
+    # through one nested numpy array.
+    (one_arc_document(s=[1.0, 0.0, 0.0]),
+     "malformed graph document: ValueError('setting an array element with a sequence. "
+     "The requested array has an inhomogeneous shape after 2 dimensions. "
+     "The detected shape was (1, 2) + inhomogeneous part.')"),
+    (one_arc_document(s=[1.0, 0.0, 0.0], d=[0.0] * 3),
+     "weight parts must have four components each"),
+    (one_arc_document(s=[[1.0], [0.0], [0.0], [0.0]]),
+     "malformed graph document: ValueError('setting an array element with a sequence. "
+     "The requested array has an inhomogeneous shape after 3 dimensions. "
+     "The detected shape was (1, 2, 4) + inhomogeneous part.')"),
+    (one_arc_document(s=[[1.0, 0.0, 0.0, 0.0]], d=[[0.0] * 4]),
+     "weight parts must have four components each"),
+    (one_arc_document(s="1000"),
+     "malformed graph document: ValueError('setting an array element with a sequence. "
+     "The requested array has an inhomogeneous shape after 2 dimensions. "
+     "The detected shape was (1, 2) + inhomogeneous part.')"),
+    (one_arc_document(w=[[1.0, 0.0, 0.0, 0.0], [0.0] * 4]),
+     "malformed graph document: TypeError('list indices must be integers or slices, not str')"),
+    (one_arc_document(arcs={"0": ARC}),
+     "malformed graph document: TypeError(\"string indices must be integers, not 'str'\")"),
+    ([one_arc_document()],
+     "malformed graph document: TypeError('list indices must be integers or slices, not str')"),
+    (one_arc_document(s=[True, 0, 0, 0]), "weight components must be numbers, got bool, float, int"),
+    (one_arc_document(head=True), "malformed graph document: TypeError('True is not an integer')"),
+]
+
+
+@pytest.mark.parametrize("obj,message", MESSAGES)
+def test_malformed_documents_keep_their_messages(obj, message):
+    with pytest.raises(GraphFormatError) as raised:
+        loads_graph(json.dumps(obj))
+    assert str(raised.value) == message
+
+
+def test_integer_weight_components_are_read_as_floats():
+    g = loads_graph(json.dumps(one_arc_document(s=[100000000000000000000000000000, 0, 0, 0])))
+    assert g.weight_array[0].tolist() == [1e29] + [0.0] * 7
+    with pytest.raises(GraphFormatError, match="float range"):
+        loads_graph(json.dumps(one_arc_document(s=[10 ** 400, 0, 0, 0])))
+
+
+def test_a_vertex_count_beyond_the_arc_keys_is_a_format_error():
+    # Only loaded: a graph on 2**32 vertices is never decided here.
+    with pytest.raises(GraphFormatError, match="4294967296 vertices"):
+        loads_graph(json.dumps(one_arc_document(n=2 ** 32)))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_graph_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        loads_graph(json.dumps(one_arc_document()))
+        assert gc.isenabled() is enabled
+        for text in ["{not json", json.dumps(one_arc_document(s=[1.0]))]:
+            with pytest.raises(GraphFormatError):
+                loads_graph(text)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 def test_loaded_graph_checks_like_original():
     g = gen_cycle(6, WeightType.DUAL_QUATERNION, seed=3)

@@ -46,6 +46,7 @@ def _load(root: Path):
 
 
 def _record(seed, workload, index, inst, g, method, outcome, failure) -> dict:
+    import numpy as np      # loaded by `_load`, after the BLAS threads are pinned
     rec = {"seed": seed, "workload": workload, "index": index, "instance": inst.name,
            "doc_sha256": hashlib.sha256(inst.doc.encode()).hexdigest(),
            "weight_type": g.weight_type.value,
@@ -58,7 +59,8 @@ def _record(seed, workload, index, inst, g, method, outcome, failure) -> dict:
             "failure_stage": outcome.failure_stage and outcome.failure_stage.value,
             "witness": witness and [list(witness.vertices), list(witness.forward)],
             "err": outcome.err,
-            "formation": outcome.formation and [list(f.to_array()) for f in outcome.formation]}
+            "formation": (np.asarray(outcome.formation).tolist()
+                          if outcome.formation is not None else None)}
 
 
 def record(root: Path, seeds: list[int]) -> list[dict]:
