@@ -20,8 +20,10 @@ Four decision procedures are provided:
 * `gain_graph_method` -- the same on the symmetrization of the digraph, a
   gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
-  that its oriented weight product is neutral (`_cycle_defects`).  Intended
-  as a desk-scale reference, not a production path.
+  that its oriented weight product is neutral (`_cycle_defects`).  The
+  cycles stay flat arrays (`graphs.CycleView`) from the enumeration through
+  the products; only the witness becomes an `OrientedCycle`.  Intended as a
+  desk-scale reference, not a production path.
 * `wdg_similarity_method` -- propagates a potential over a spanning tree
   by pointer doubling and checks every arc against it (`_tree_potential`).
 
@@ -49,6 +51,7 @@ import numpy as np
 from .algebra import APPRECIABLE_TOL, DualQuaternion
 from . import linalg
 from .graphs import (
+    CycleView,
     OrientedCycle,
     WeightedDigraph,
     arc_positions,
@@ -567,19 +570,19 @@ def _cycle_defects(g: WeightedDigraph, cycles: Sequence[OrientedCycle]) -> np.nd
     standard magnitude, a positive real per arc, which cannot change balance.
     The product then has unit standard magnitude, it is neutral exactly when
     it is 1, and the distance depends neither on the scale of the weights nor
-    on the translations of unit ones.
+    on the translations of unit ones.  ``cycles`` is a `CycleView` or any
+    sequence of `OrientedCycle`.
     """
     W = g.weight_array
     if not g.weight_type.is_unit:
         W = W / np.linalg.norm(W[:, :4], axis=1, keepdims=True)
         g = replace(g, weight_array=W)
-    prod = cycle_products(g, cycles)
+    view = CycleView.of(cycles)
+    prod = cycle_products(g, view)
     prod[:, 0] -= 1.0
     # A step and its inverse have the same norm once |w_s| = 1.
-    arcs = np.array([arc for c in cycles for arc in c.arcs()], dtype=np.intp).reshape(-1, 2)
-    norms = np.linalg.norm(W, axis=1)[arc_positions(g.graph, *arcs.T)]
-    lengths = np.array([len(c) for c in cycles], dtype=np.intp)
-    return np.linalg.norm(prod, axis=1) / np.maximum.reduceat(norms, np.cumsum(lengths) - lengths)
+    norms = np.linalg.norm(W, axis=1)[arc_positions(g.graph, *view.arcs())]
+    return np.linalg.norm(prod, axis=1) / np.maximum.reduceat(norms, view.starts)
 
 
 def cycle_deviation(g: WeightedDigraph, cycle: OrientedCycle) -> float:
@@ -594,10 +597,13 @@ def cycle_oracle(g: WeightedDigraph, max_cycles: int = 10 ** 6) -> BalanceReport
     Each cycle's `_cycle_defects` distance, relative to its largest step,
     must be at most ``BALANCE_TOL``:
     unit weight types require the product to equal 1, general weights a
-    positive real dual number.  Returns the first offending cycle as a
-    witness.  If enumeration hits ``max_cycles`` the verdict is
-    indeterminate.  A balanced verdict must also pass the spanning-tree
-    potential's certificate, as in `wdg_similarity_method`.
+    positive real dual number.  The cycles of `enumerate_cycles` are tested
+    as its flat arrays, all at once; the first offending cycle, in its
+    order, is the one built as an `OrientedCycle` and returned as the
+    witness.  If enumeration hits ``max_cycles``, a non-negative integer
+    (anything else raises ``ValueError``), the verdict is indeterminate.  A
+    balanced verdict must also pass the spanning-tree potential's
+    certificate, as in `wdg_similarity_method`.
     """
     enum = enumerate_cycles(g.graph, max_cycles)
     if enum.truncated:

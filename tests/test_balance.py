@@ -40,14 +40,17 @@ from dqbalance.generate import (
     cycle_arc,
     gen_cycle,
     gen_random_balanced,
+    gen_tree,
     perturb,
     random_switching,
+    random_weight,
 )
 from dqbalance.graphs import (
     NonFiniteWeightError,
     WeightedDigraph,
     WeightType,
     build,
+    enumerate_cycles,
     laplacian,
     unweighted_laplacian,
     walk_weight,
@@ -63,6 +66,9 @@ from conftest import (
     balanced_cycle3,
     make_cycle3,
     make_tree,
+    reference_defects,
+    reference_enumeration,
+    reference_oracle,
 )
 
 
@@ -715,6 +721,102 @@ def test_oracle_truncation_indeterminate(rng):
     g = build(n, arcs, weights, WeightType.UNIT_DUAL_QUATERNION)
     report = cycle_oracle(g, max_cycles=5)
     assert report.verdict is Verdict.INDETERMINATE
+
+
+@pytest.mark.parametrize("max_cycles", [-1, -2, 2.5, True])
+def test_oracle_rejects_a_bad_max_cycles(max_cycles):
+    # -1 once called this acyclic graph indeterminate; -2 and 2.5 raised
+    # islice's message, which does not name the argument; True meant 1.
+    with pytest.raises(ValueError, match="max_cycles"):
+        cycle_oracle(gen_tree(5, WeightType.REAL, 1), max_cycles)
+
+
+def random_digraph_graph(n, pairs, wt, seed, perturbed):
+    """A balanced graph on the arcs that ``pairs`` selects among the ordered
+    pairs of 1..n, with potential weights and log-normal arc scalars, and
+    optionally one arc redrawn."""
+    rng = np.random.default_rng(seed)
+    arcs = [a for a, keep in zip(((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                                  if i != j), pairs) if keep]
+    theta = np.array([random_weight(wt, rng).to_array() for _ in range(n)])
+    tails, heads = np.array(arcs, dtype=np.intp).reshape(-1, 2).T - 1
+    W = linalg.dqmul(graphs.inverse_weights(wt, theta[tails]), theta[heads])
+    if not wt.is_unit:
+        W *= np.exp(rng.normal(scale=0.3, size=len(arcs)))[:, None]
+    g = build(n, arcs, W, wt)
+    return perturb(g, arcs[perturbed % len(arcs)], rng) if perturbed is not None and arcs else g
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(2, 7), data=st.data(), wt=st.sampled_from(list(WeightType)),
+       seed=st.integers(0, 2 ** 32 - 1), perturbed=st.none() | st.integers(0, 40),
+       max_cycles=st.sampled_from([10 ** 6]) | st.integers(0, 60))
+def test_array_oracle_matches_the_object_oracle(n, data, wt, seed, perturbed, max_cycles):
+    # The flat-array enumeration and oracle against one `OrientedCycle` per
+    # cycle: the same cycles in the same order, the same verdict and witness,
+    # and bit-identical defects and residuals.
+    density = data.draw(st.floats(0.0, 1.0))
+    pairs = data.draw(st.lists(st.floats(0.0, 1.0).map(lambda u: u < density),
+                               min_size=n * (n - 1), max_size=n * (n - 1)))
+    g = random_digraph_graph(n, pairs, wt, seed, perturbed)
+    reference, truncated = reference_enumeration(g.graph, max_cycles)
+    enum = enumerate_cycles(g.graph, max_cycles)
+    assert enum.truncated == truncated
+    assert [(c.vertices, c.forward) for c in enum.cycles] == \
+        [(c.vertices, c.forward) for c in reference]
+    assert np.array_equal(balance._cycle_defects(g, enum.cycles),
+                          reference_defects(g, reference))
+    report, expected = cycle_oracle(g, max_cycles), reference_oracle(g, max_cycles)
+    assert (report.verdict, report.failure_stage, report.witness, report.err) == \
+        (expected.verdict, expected.failure_stage, expected.witness, expected.err)
+    assert report == expected       # the formation too, bit for bit
+
+
+def desk_graph(kind, wt, n, density, seed, perturbed):
+    """A balanced cycle or random graph, with one arc on a cycle redrawn when
+    ``perturbed`` (a tree stays as it is); and the stream that drew it."""
+    rng = np.random.default_rng(seed)
+    g = (gen_cycle(max(n, 3), wt, rng) if kind == "cycle"
+         else gen_random_balanced(n, density, wt, rng))
+    arc = cycle_arc(g)
+    return (perturb(g, arc, rng) if perturbed and arc is not None else g), rng
+
+
+desk_graphs = dict(kind=st.sampled_from(["cycle", "random"]), n=st.integers(2, 9),
+                   density=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(wt=st.sampled_from([WeightType.DUAL_QUATERNION, WeightType.COMPLEX, WeightType.REAL]),
+       perturbed=st.booleans(), u=st.floats(-15.0, 150.0), s=st.floats(0.0, 2.0), **desk_graphs)
+def test_positive_rescaling_keeps_the_oracle_verdict(kind, wt, n, density, seed, perturbed, u, s):
+    # As `test_positive_rescaling_keeps_the_potential_verdict`: each arc times
+    # its own positive real, which cannot change balance, for the oracle.
+    g, rng = desk_graph(kind, wt, n, density, seed, perturbed)
+    try:
+        scaled = rescaled(g, 10.0 ** (u + s * rng.uniform(-1.0, 1.0, len(g.arcs))))
+    except ValueError:          # a weight `build` rejects: not appreciable or not finite
+        assume(False)
+    assert cycle_oracle(scaled).verdict is cycle_oracle(g).verdict
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(wt=st.sampled_from(list(WeightType)), perturbed=st.booleans(), **desk_graphs)
+def test_switching_keeps_the_oracle_verdict(kind, wt, n, density, seed, perturbed):
+    g, rng = desk_graph(kind, wt, n, density, seed, perturbed)
+    switched = apply_switching(g, random_switching(g, rng))
+    assert cycle_oracle(switched).verdict is cycle_oracle(g).verdict
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(wt=st.sampled_from(list(WeightType)), **desk_graphs)
+def test_oracle_witness_of_a_perturbed_graph_is_far_from_neutral(kind, wt, n, density, seed):
+    g, _ = desk_graph(kind, wt, n, density, seed, perturbed=True)
+    assume(cycle_arc(g) is not None)
+    report = cycle_oracle(g)
+    assert report.verdict is Verdict.UNBALANCED
+    assert report.failure_stage is FailureStage.CYCLE_FOUND
+    assert cycle_deviation(g, report.witness) > BALANCE_TOL
 
 
 def test_oracle_disconnected_graph(rng):

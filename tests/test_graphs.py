@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from dqbalance.algebra import (
     UnitDualQuaternion,
     random_udq,
 )
-from dqbalance.generate import gen_random_balanced, random_weight
+from dqbalance.generate import cycle_arc, gen_random_balanced, gen_tree, random_weight
 from dqbalance.graphs import (
     ArcNotFoundError,
+    CycleEnumeration,
+    CycleView,
     Digraph,
     DuplicateArcError,
     InvalidWalkError,
@@ -36,6 +40,7 @@ from dqbalance.graphs import (
     walk_weight,
     weighted_magnitude_laplacian,
 )
+from dqbalance.serialize import cycle_to_obj
 
 from conftest import (
     I,
@@ -47,6 +52,7 @@ from conftest import (
     cycles_equivalent,
     make_cycle3,
     make_tree,
+    reference_enumeration,
 )
 
 
@@ -453,6 +459,77 @@ def test_enumerate_cycles_counts_mixed_orientations():
     assert len(enum.cycles) == 1
     assert sorted(enum.cycles[0].vertices) == [1, 2, 3, 4]
     assert sum(1 for f in enum.cycles[0].forward if not f) == 1
+
+
+@pytest.mark.parametrize("max_cycles", [-1, -2, 2.5, True, None, "3"])
+def test_enumerate_cycles_rejects_a_bad_max_cycles(max_cycles):
+    with pytest.raises(ValueError, match="max_cycles"):
+        enumerate_cycles(gen_tree(5, WeightType.REAL, 1).graph, max_cycles)
+
+
+def test_enumerate_cycles_at_the_ends_of_max_cycles():
+    # Zero cycles allowed: truncated exactly when there is a cycle to drop.
+    tree = gen_tree(5, WeightType.REAL, 1).graph
+    assert enumerate_cycles(tree, 0) == CycleEnumeration((), False)
+    enum = enumerate_cycles(Digraph(2, ((1, 2), (2, 1))), np.int64(0))
+    assert enum.truncated and len(enum.cycles) == 0
+    # A bound beyond any count of cycles, even past sys.maxsize, truncates nothing.
+    enum = enumerate_cycles(Digraph(2, ((1, 2), (2, 1))), 2 ** 64)
+    assert not enum.truncated and len(enum.cycles) == 1
+
+
+def test_cycle_view_sequence_contract():
+    # The complete graph on five vertices, with two antiparallel pairs.
+    arcs = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6)) + ((2, 1), (5, 3))
+    cycles = enumerate_cycles(Digraph(5, arcs)).cycles
+    items = tuple(cycles)
+    reference, _ = reference_enumeration(Digraph(5, arcs))
+    assert cycles == items == reference and len(cycles) == len(items) > 10
+    assert cycles[-1] == items[-1] and cycles[-len(items)] == items[0]
+    assert cycles[np.int64(3)] == items[3]
+    with pytest.raises(IndexError):
+        cycles[len(items)]
+    with pytest.raises(TypeError):
+        cycles[1.0]
+    for key in (slice(2, 7), slice(None, None, -3), slice(5, 2), slice(-4, None)):
+        part = cycles[key]
+        assert isinstance(part, CycleView) and part == items[key]
+        assert np.array_equal(part.starts, np.cumsum(part.lengths) - part.lengths)
+    assert list(iter(cycles)) == list(items) and cycles.index(items[4]) == 4
+    assert hash(cycles) == hash(items) and cycles == CycleView.of(list(items))
+    assert cycles != list(items) and cycles != items[1:]
+
+
+def test_cycle_view_arrays_are_read_only():
+    enum = enumerate_cycles(Digraph(4, ((1, 2), (2, 1), (2, 3), (3, 4), (4, 1), (1, 3))))
+    view = enum.cycles
+    for a in (view.vertices, view.forward, view.lengths, view.starts):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    assert view.vertices.dtype == np.intp and view.forward.dtype == bool
+    assert int(view.lengths.sum()) == len(view.vertices) == len(view.forward)
+
+
+def test_cycle_view_items_are_plain_python():
+    g = gen_random_balanced(6, 0.4, WeightType.UNIT_DUAL_QUATERNION, 4)
+    enum = enumerate_cycles(g.graph)
+    reference, _ = reference_enumeration(g.graph)
+    assert any(not all(c.forward) for c in reference)
+    for cycle, ref in zip(enum.cycles, reference, strict=True):
+        assert all(type(v) is int for v in cycle.vertices)
+        assert all(type(f) is bool for f in cycle.forward)
+        assert cycle_to_obj(cycle) == cycle_to_obj(ref)
+        assert json.dumps(cycle_to_obj(cycle)) == json.dumps(cycle_to_obj(ref))
+
+
+@pytest.mark.parametrize("wt", list(WeightType))
+def test_cycle_arc_is_the_first_arc_of_the_first_cycle(wt):
+    # `cycle_arc` names the arc that a perturbation redraws: it must not move.
+    for seed in range(12):
+        g = gen_random_balanced(3 + seed % 9, 0.15, wt, seed)
+        reference, _ = reference_enumeration(g.graph, 8)
+        assert cycle_arc(g) == (reference[0].arcs()[0] if reference else None)
 
 
 # ---------------------------------------------------------------------------
