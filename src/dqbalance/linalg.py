@@ -17,14 +17,25 @@ the complex adjoint: it has the same singular values (each twice instead of
 four times) at half the dimension.  `qsolve`, for small square systems,
 solves the real expansion.
 
-The Hamilton product is written once, in `qmul`.  Its structure table
-``T[c, d] = e_c e_d`` on the basis quaternions, taken from `qmul`, gives
-``(a b)_r = sum_cd a_c b_d T[c, d, r]``; `qmat_mul` and `real_expand` are
-contractions with it.  The rank cutoff (`RANK_TOL`, relative to the largest
-singular value) lives in `QuatLeastSquares` alone, and `rank` reads it there.
+The Hamilton product is written once, in `Quaternion.__mul__`.  Its
+structure table ``T[c, d] = e_c e_d`` on the basis quaternions, taken from
+that product, gives ``(a b)_r = sum_cd a_c b_d T[c, d, r]``; `qmat_mul` and
+`real_expand` are contractions with it.  The entrywise kernels `qmul` and
+`dqmul` read their terms from it and from the dual quaternion table taken
+from `DualQuaternion.__mul__`: each ``T[c, :, r]`` holds one ±1, so the term
+of ``(a b)_r`` from ``a_c`` is a signed gather of one ``b_d`` times ``a_c``.
+Each component then adds its four terms in the order of ``c``, as the
+written-out product does, starting from the first term.  So the kernels
+agree with the scalar types bit for bit, signed zeros and infinities
+included; a NaN stays a NaN, though its sign bit may differ.  The rank
+cutoff (`RANK_TOL`, relative to the largest singular value) lives in
+`QuatLeastSquares` alone, and `rank` reads it there.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +78,102 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcasted entrywise Hamilton product of arrays with trailing axis 4."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _structure_table(basis) -> np.ndarray:
+    """``T[c, d] = basis[c] * basis[d]`` as arrays, from the scalar product."""
+    return _read_only(np.array([[(p * q).to_array() for q in basis] for p in basis]))
+
+
+# Structure tables, (a b)_r = sum_cd a_c b_d T[c, d, r]: T[c, d] is the
+# product of the basis elements e_c e_d.  The dual quaternion basis is
+# (1, i, j, k, eps, eps i, eps j, eps k).
+_PRODUCT = _structure_table([Quaternion.from_array(e) for e in np.eye(4)])
+_DQ_PRODUCT = _structure_table([DualQuaternion.from_array(e) for e in np.eye(8)])
+
+
+class _Terms(NamedTuple):
+    """Terms of an entrywise product ``a b``, in blocks of four sums.
+
+    Term ``(k, c, r)`` is ``a[left[k, c]] * ab[right[k, c, r]]``, where ``ab``
+    lists the ``width`` components of ``b`` and then those of ``-b``; block
+    k sums its terms of each output component r in the order of c.
+    """
+
+    width: int
+    left: np.ndarray    # (blocks, 4)
+    right: np.ndarray   # (blocks, 4, 4)
+
+
+def _terms(table: np.ndarray, blocks) -> _Terms:
+    """The terms of ``table`` in each block ``(cs, rs)`` of left and output components.
+
+    Every ``table[c, :, r]`` holds one ±1, at the right component d of the
+    term ``±a_c b_d`` of ``(a b)_r``; a -1 selects d in the negated copy.
+    """
+    width = table.shape[1]
+    left, right = [], []
+    for cs, rs in blocks:
+        block = table[cs, :, rs]                        # (4 c, d, 4 r)
+        d = np.argmax(block != 0, axis=1)
+        negative = np.take_along_axis(block, d[:, None, :], axis=1)[:, 0, :] < 0
+        left.append(np.arange(len(table))[cs])
+        right.append(d + width * negative)
+    return _Terms(width, *(_read_only(np.array(x)) for x in (left, right)))
+
+
+_STANDARD, _DUAL = slice(0, 4), slice(4, 8)
+_Q_TERMS = _terms(_PRODUCT, [(_STANDARD, _STANDARD)])
+# a_s b_s, then the dual part's a_s b_d and a_d b_s; eps * eps adds nothing.
+_DQ_TERMS = _terms(_DQ_PRODUCT, [(_STANDARD, _STANDARD), (_STANDARD, _DUAL), (_DUAL, _DUAL)])
+
+# Terms per pass of the entrywise kernels, which keeps their temporaries in cache.
+_CHUNK = 48 * 512
+
+
+def _entrywise(a, b, terms: _Terms, combine) -> np.ndarray:
+    """An entrywise product of broadcast arrays from its terms.
+
+    ``combine`` maps the block sums, shape (blocks, 4, rows), to the output
+    components, shape (width, rows).  A negated factor negates a product
+    exactly, and every sum starts from its first term (``-0.0 + t`` is
+    ``t`` for every ``t``), so each component is the written-out sum.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    width = terms.width
+    if a.shape[-1:] != (width,):
+        raise ShapeMismatchError(f"expected a trailing axis of {width}, got {a.shape}")
+    a_rows, b_rows = a.reshape(-1, width), b.reshape(-1, width)
+    out = np.empty(a.shape)
+    out_rows = out.reshape(-1, width)
+    chunk = _CHUNK // terms.right.size
+    for i in range(0, len(out_rows), chunk):
+        rows = slice(i, i + chunk)
+        b_T = b_rows[rows].T
+        ab = np.empty((2 * width, b_T.shape[1]))
+        ab[:width] = b_T
+        np.negative(ab[:width], out=ab[width:])
+        products = ab[terms.right]
+        products *= a_rows[rows].T[terms.left][:, :, None, :]
+        out_rows[rows] = combine(np.add.reduce(products, axis=1, initial=-0.0)).T
+    return out
 
 
-# Structure table of the Hamilton product, (a b)_r = sum_cd a_c b_d T[c, d, r]:
-# T[c, d] is the product of the basis quaternions e_c e_d.
-_PRODUCT = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcasted entrywise Hamilton product of arrays with trailing axis 4.
+
+    Bit-identical to ``Quaternion.__mul__`` on every entry (see the module
+    docstring).  Non-finite components give what the written-out product
+    gives, up to the sign bit of a NaN; decide inputs are finite, as
+    `graphs.build` rejects weights whose 8-component norm overflows.
+    """
+    return _entrywise(a, b, _Q_TERMS, operator.itemgetter(0))
 
 
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -256,13 +346,19 @@ def dqconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _standard_and_dual(sums: np.ndarray) -> np.ndarray:
+    sums[1] += sums[2]              # (a_s b_d) + (a_d b_s)
+    return sums[:2].reshape(8, -1)
+
+
 def dqmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcasted entrywise dual quaternion product of arrays with trailing axis 8."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    s = qmul(a[..., :4], b[..., :4])
-    d = qmul(a[..., :4], b[..., 4:]) + qmul(a[..., 4:], b[..., :4])
-    return np.concatenate([s, d], axis=-1)
+    """Broadcasted entrywise dual quaternion product of arrays with trailing axis 8.
+
+    The standard part is ``a_s b_s`` and the dual part ``(a_s b_d) + (a_d b_s)``,
+    each product summed as in `qmul`, so the result is bit-identical to
+    ``DualQuaternion.__mul__``, non-finite components as in `qmul`.
+    """
+    return _entrywise(a, b, _DQ_TERMS, _standard_and_dual)
 
 
 def dqinv(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 
@@ -5,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from dqbalance import linalg
 from dqbalance.algebra import DualQuaternion, Quaternion, random_udq
 from dqbalance.balance import (
     BALANCE_TOL,
@@ -141,3 +143,43 @@ def reference_oracle(g, max_cycles=10 ** 6):
                              failure_stage=FailureStage.CYCLE_FOUND,
                              witness=cycles[int(np.argmax(off))])
     return _potential_report(g, _tree_potential(g).theta, Method.CYCLE_ORACLE)
+
+
+# ---------------------------------------------------------------------------
+# Written-out entrywise products: the Hamilton product row by row, and the
+# dual product as three of them, as the kernels were written before they read
+# their terms from the structure tables.  The kernels must agree with them
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_qmul(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def reference_dqmul(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    s = reference_qmul(a[..., :4], b[..., :4])
+    d = reference_qmul(a[..., :4], b[..., 4:]) + reference_qmul(a[..., 4:], b[..., :4])
+    return np.concatenate([s, d], axis=-1)
+
+
+@contextmanager
+def reference_kernels():
+    """`linalg.qmul` and `linalg.dqmul` swapped for the written-out references,
+    so that `linalg.dqinv` and every caller run on them too."""
+    saved = linalg.qmul, linalg.dqmul
+    linalg.qmul, linalg.dqmul = reference_qmul, reference_dqmul
+    try:
+        yield
+    finally:
+        linalg.qmul, linalg.dqmul = saved

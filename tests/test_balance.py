@@ -68,6 +68,7 @@ from conftest import (
     make_tree,
     reference_defects,
     reference_enumeration,
+    reference_kernels,
     reference_oracle,
 )
 
@@ -1123,6 +1124,36 @@ def test_tiny_unbalanced_graphs_stay_unbalanced(factor):
     g = gen_random_balanced(30, 0.1, WeightType.DUAL_QUATERNION, 3)
     g = rescaled(perturb(g, cycle_arc(g), 5), factor)
     assert wdg_similarity_method(g).verdict is Verdict.UNBALANCED
+
+
+def edge_scaled(g, rng):
+    """``g`` with each arc times a positive real: its standard part down to
+    2e-12 (just above `APPRECIABLE_TOL`), its larger part up to 9e153 (just
+    below the weights whose norm overflows), or halfway, in log scale."""
+    W = g.weight_array
+    s, d = np.linalg.norm(W[:, :4], axis=1), np.linalg.norm(W[:, 4:], axis=1)
+    low, high = np.log10(2e-12 / s), np.log10(9e153 / np.maximum(s, d))
+    t = rng.choice([0.0, 0.5, 1.0], size=len(W))
+    return rescaled(g, 10.0 ** (low + t * (high - low)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["cycle", "random"])
+def test_edge_scale_verdicts_hold_on_the_written_out_products(kind, seed):
+    # Weights at the edges of the scales `build` accepts: the kernels and
+    # the written-out products reach the same verdicts, stages and witnesses.
+    g = (gen_cycle(12, WeightType.DUAL_QUATERNION, seed) if kind == "cycle"
+         else gen_random_balanced(9, 0.35, WeightType.DUAL_QUATERNION, seed))
+    rng = np.random.default_rng(seed)
+    for balanced, h in [(True, g), (False, perturb(g, cycle_arc(g), seed))]:
+        h = edge_scaled(h, rng)
+        for method in (wdg_similarity_method, cycle_oracle):
+            report = method(h)
+            with reference_kernels():
+                expected = method(h)
+            assert report.verdict is (Verdict.BALANCED if balanced else Verdict.UNBALANCED)
+            assert (report.verdict, report.failure_stage, report.witness) == \
+                (expected.verdict, expected.failure_stage, expected.witness)
 
 
 def far_formation_graph(n, arcs, scale, seed):

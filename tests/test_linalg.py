@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqbalance import linalg
 from dqbalance.algebra import DualQuaternion, Quaternion
@@ -21,7 +23,7 @@ from dqbalance.linalg import (
     real_expand,
 )
 
-from conftest import I, J, ONE
+from conftest import I, J, ONE, reference_dqmul, reference_kernels, reference_qmul
 
 
 def qm(*rows):
@@ -334,8 +336,130 @@ def test_dqinv(rng):
 def test_scalar_and_array_products_agree(rng):
     p = DualQuaternion.from_array(rng.normal(size=8))
     q = DualQuaternion.from_array(rng.normal(size=8))
-    assert np.allclose(dqmul(p.to_array(), q.to_array()), (p * q).to_array(),
-                       atol=1e-13)
+    assert np.array_equal(dqmul(p.to_array(), q.to_array()), (p * q).to_array())
+
+
+# ---------------------------------------------------------------------------
+# the structure-table kernels against the written-out products
+# ---------------------------------------------------------------------------
+
+def test_structure_tables():
+    T, T8 = linalg._PRODUCT, linalg._DQ_PRODUCT
+    basis = [Quaternion.from_array(e) for e in np.eye(4)]
+    assert np.array_equal(T, [[(p * q).to_array() for q in basis] for p in basis])
+    one, i, j, k = np.eye(4)
+    for c, d, product in [(1, 1, -one), (2, 2, -one), (3, 3, -one),
+                          (1, 2, k), (2, 3, i), (3, 1, j), (2, 1, -k), (3, 2, -i), (1, 3, -j)]:
+        assert np.array_equal(T[c, d], product)
+    # Each basis product is one signed basis element, and each (c, r) meets
+    # one d: the term of (a b)_r from a_c is one signed product a_c b_d.
+    for axis in (1, 2):
+        assert np.array_equal(np.count_nonzero(T, axis=axis), np.ones((4, 4)))
+    assert np.array_equal(np.abs(T[T != 0]), np.ones(16))
+    dual_basis = [DualQuaternion.from_array(e) for e in np.eye(8)]
+    assert np.array_equal(T8, [[(p * q).to_array() for q in dual_basis] for p in dual_basis])
+    assert not T8[4:, 4:].any()                 # eps * eps = 0
+    blocks = np.zeros((8, 8, 8))
+    blocks[:4, :4, :4] = blocks[:4, 4:, 4:] = blocks[4:, :4, 4:] = T
+    assert np.array_equal(T8, blocks)
+    for terms in (linalg._Q_TERMS, linalg._DQ_TERMS):
+        assert not terms.left.flags.writeable and not terms.right.flags.writeable
+    assert not T.flags.writeable and not T8.flags.writeable
+
+
+@pytest.mark.parametrize("terms, table, outputs", [
+    (linalg._Q_TERMS, linalg._PRODUCT, [range(4)]),
+    (linalg._DQ_TERMS, linalg._DQ_PRODUCT, [range(4), range(4, 8), range(4, 8)]),
+])
+def test_kernel_terms_are_the_table(terms, table, outputs):
+    # Every nonzero of the table is one term, with its sign.
+    width = table.shape[1]
+    rebuilt = np.zeros_like(table)
+    for k, rs in enumerate(outputs):
+        for c, left in enumerate(terms.left[k]):
+            for r, right in zip(rs, terms.right[k, c]):
+                rebuilt[left, right % width, r] += -1.0 if right >= width else 1.0
+    assert np.array_equal(rebuilt, table)
+
+
+def test_entrywise_products_check_the_trailing_axis():
+    with pytest.raises(ShapeMismatchError):
+        linalg.qmul(np.ones((3, 8)), np.ones((3, 8)))
+    with pytest.raises(ShapeMismatchError):
+        dqmul(np.ones((3, 4)), np.ones(4))
+
+
+def same_bits(x, y):
+    """Equal shapes and bit patterns: signed zeros and NaN payloads included."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _operand(rng, shape, zero_frac):
+    """Normal entries, each row scaled by 10^U(-150, 150), some exactly zero."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 150, size=shape[:-1] + (1,))
+    x[rng.random(shape) < zero_frac] = 0.0
+    return x
+
+
+@st.composite
+def operand_pairs(draw, width):
+    """Two operands with trailing axis ``width`` in a broadcast the call sites use."""
+    rows = draw(st.one_of(st.sampled_from([0, 1, 5000]), st.integers(0, 5000)))
+    layout = draw(st.sampled_from(["rows", "rows by one", "one by rows", "outer"]))
+    if layout == "outer":
+        rows = min(rows, 70)
+        cols = draw(st.integers(0, 70))
+        shapes = (rows, 1, width), (1, cols, width)
+    else:
+        shapes = {"rows": ((rows, width), (rows, width)),
+                  "rows by one": ((rows, width), (width,)),
+                  "one by rows": ((width,), (rows, width))}[layout]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero_frac = draw(st.sampled_from([0.0, 0.3]))
+    return tuple(_operand(rng, shape, zero_frac) for shape in shapes)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(operand_pairs(4))
+def test_qmul_is_bit_identical_to_the_written_out_product(pair):
+    assert same_bits(linalg.qmul(*pair), reference_qmul(*pair))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(operand_pairs(8))
+def test_dqmul_is_bit_identical_to_the_written_out_product(pair):
+    assert same_bits(dqmul(*pair), reference_dqmul(*pair))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rows=st.one_of(st.sampled_from([0, 1, 5000]), st.integers(0, 5000)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dqinv_is_bit_identical_to_the_written_out_products(rows, seed):
+    # Standard parts from 1e-10 up, so that every entry is appreciable.
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, (rows, 8), 0.0)
+    s = a[:, :4] / np.linalg.norm(a[:, :4], axis=1, keepdims=True)
+    a[:, :4] = s * 10.0 ** rng.uniform(-10, 150, size=(rows, 1))
+    with reference_kernels():
+        expected = dqinv(a)
+    assert same_bits(dqinv(a), expected)
+
+
+def test_non_finite_components_follow_the_written_out_product():
+    # No term multiplies a table zero, so an infinity is never turned into
+    # NaN.  A NaN stays a NaN; its sign bit, which carries no meaning, may not.
+    rng = np.random.default_rng(3)
+    for value in (np.inf, -np.inf, np.nan):
+        a, b = rng.normal(size=(2, 6, 8))
+        a[1, 2] = b[2, 5] = b[3, 0] = a[4, 7] = value
+        with np.errstate(invalid="ignore"):
+            pairs = [(dqmul(a, b), reference_dqmul(a, b)),
+                     (linalg.qmul(a[:, 4:], b[:, :4]), reference_qmul(a[:, 4:], b[:, :4]))]
+        for out, expected in pairs:
+            if np.isnan(value):
+                assert np.array_equal(out, expected, equal_nan=True)
+            else:
+                assert same_bits(out, expected)
 
 
 # ---------------------------------------------------------------------------
