@@ -14,9 +14,9 @@ Four decision procedures are provided:
   least-squares residual is the component of its right-hand side along the
   left null vector ``ell`` of the reduced standard matrix, and the solution
   solves the right-hand side projected off ``ell``.  Without a vertex that
-  every vertex reaches, or with an ill-conditioned capacitance matrix (or
-  a K too large for the Woodbury system to pay), the stages take one SVD of
-  the dense Laplacian's standard part instead (`_null_space_pipeline`).
+  every vertex reaches, or with a rank-deficient capacitance matrix (or a K
+  too large for the Woodbury system to pay), the stages take one SVD of the
+  dense Laplacian's standard part instead (`_null_space_pipeline`).
 * `gain_graph_method` -- the same on the symmetrization of the digraph, a
   gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
@@ -346,8 +346,8 @@ def _switched_solves(s: WeightedDigraph, theta: np.ndarray):
     `_staged_report` takes them, or None where the dense pipeline runs: ``s``
     has no `mother_vertex`, the real expansion of the capacitance system
     below (4|K| rows) would outgrow the complex adjoint that the dense
-    pipeline factors (2n rows), or a capacitance matrix has condition number
-    above ``1 / RANK_TOL``.
+    pipeline factors (2n rows), or a capacitance matrix is rank-deficient to
+    its `QuatLeastSquares`, which otherwise solves every system in it.
 
     With ``z = theta x`` entrywise, ``L_hat x = 0`` holds exactly when
     ``L' z = 0``, where L' has the switched weights
@@ -398,12 +398,11 @@ def _switched_solves(s: WeightedDigraph, theta: np.ndarray):
     left[rows] = np.linalg.solve(M.T, np.column_stack([-L0[r, 1:], unit_columns(h)[1:]]))
     left[r, 0] = 1.0
     # ell = left[:, 0] + left[:, 1:] c with c_e = conj(S_e) ell_{t_e}, and H^T = left[t, 1:].
-    A_left = _capacitance(linalg.qconj(S), left[t, 1:])
-    A_right = _capacitance(S, left[t, 1:].T)
-    if max(np.linalg.cond(linalg.complex_adjoint(A)) for A in (A_left, A_right)) \
-            > 1.0 / linalg.RANK_TOL:
+    A_left = linalg.QuatLeastSquares(_capacitance(linalg.qconj(S), left[t, 1:]))
+    A_right = linalg.QuatLeastSquares(_capacitance(S, left[t, 1:].T))
+    if not (A_left.full_column_rank and A_right.full_column_rank):
         return None
-    ell = left[:, 1:] @ linalg.qsolve(A_left, linalg.qconj(S) * left[t, :1])
+    ell = left[:, 1:] @ A_left.solve(linalg.qconj(S) * left[t, :1])[0]
     ell[:, 0] += left[:, 0]
     ell_sq = float(np.sum(ell * ell))
     f_s, f_d = theta[:, :4], theta[:, 4:]
@@ -420,7 +419,7 @@ def _switched_solves(s: WeightedDigraph, theta: np.ndarray):
 
     def woodbury(y: np.ndarray) -> np.ndarray:
         """``z = y + G sigma`` with ``sigma = diag(S) z_h``, G the M^-1 tail columns."""
-        return y + G @ linalg.qsolve(A_right, linalg.qmul(S, y[h]))
+        return y + G @ A_right.solve(linalg.qmul(S, y[h]))[0]
 
     b = np.zeros((n, 4))      # minus the first column of L'_s
     b[:, 0] = -L0[:, 0]
@@ -515,8 +514,8 @@ def direct_method(g: WeightedDigraph) -> BalanceReport:
     right-hand side projected off ``ell``, as the dense least squares would.
     Two cases fall back to one SVD of the dense Laplacian's standard part
     (`_null_space_pipeline`): no vertex is reached by every vertex (no
-    directed spanning tree), or a capacitance matrix has condition number
-    above ``1 / RANK_TOL``; so does a K too large for the Woodbury system to
+    directed spanning tree), or a capacitance matrix is rank-deficient to
+    `QuatLeastSquares`; so does a K too large for the Woodbury system to
     be the cheaper (2|K| > n).  A standard part of rank below n-1, as on
     every graph without a directed spanning tree, leaves the null space
     structure unknown and yields an indeterminate verdict.  A bad arc of f
@@ -630,6 +629,19 @@ class _TreePotential(NamedTuple):
     forest: tuple[np.ndarray, np.ndarray]   # the `spanning_forest` it was propagated over
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)``, with finite rows whose squares overflow
+    divided by their largest component before the sum and multiplied back."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.all(np.isfinite(a[big]), axis=1)]
+        if len(big):
+            scale = np.max(np.abs(a[big]), axis=1)
+            norms[big] = scale * np.linalg.norm(a[big] / scale[:, None], axis=1)
+    return norms
+
+
 def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     """Vertex potentials propagated over the BFS spanning forest (see `spanning_forest`).
 
@@ -665,8 +677,7 @@ def _tree_potential(g: WeightedDigraph) -> _TreePotential:
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     c = np.linalg.norm(W[:, :4], axis=1)
     predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]
-    bad = np.flatnonzero(np.linalg.norm(W - predicted, axis=1)
-                         > BALANCE_TOL * np.linalg.norm(W, axis=1))
+    bad = np.flatnonzero(_row_norms(W - predicted) > BALANCE_TOL * np.linalg.norm(W, axis=1))
     connected = int(np.count_nonzero(parent_arc < 0)) == 1     # one root per weak component
     return _TreePotential(theta, connected, int(bad[0]) if len(bad) else None, c, forest)
 
@@ -684,7 +695,8 @@ def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
         raise NotConnectedError("build_potential requires a weakly connected graph")
     if tp.bad is not None:
         return None
-    return PotentialAssignment(dict(enumerate(linalg.dqvec_to_scalars(tp.theta), start=1)),
+    return PotentialAssignment({v: DualQuaternion.from_array(row)
+                                for v, row in enumerate(tp.theta, start=1)},
                                dict(zip(g.arcs, tp.c.tolist())))
 
 

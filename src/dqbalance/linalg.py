@@ -14,8 +14,7 @@ shape ``(4m, 4n)`` and to its complex adjoint ``complex_adjoint(A)`` of shape
 to the (Hermitian) transpose, which is what lets ordinary real or complex
 solvers handle quaternion linear systems.  The least-squares solver uses
 the complex adjoint: it has the same singular values (each twice instead of
-four times) at half the dimension.  `qsolve`, for small square systems,
-solves the real expansion.
+four times) at half the dimension.
 
 The Hamilton product is written once, in `Quaternion.__mul__`.  Its
 structure table ``T[c, d] = e_c e_d`` on the basis quaternions, taken from
@@ -29,7 +28,9 @@ written-out product does, starting from the first term.  So the kernels
 agree with the scalar types bit for bit, signed zeros and infinities
 included; a NaN stays a NaN, though its sign bit may differ.  The rank
 cutoff (`RANK_TOL`, relative to the largest singular value) lives in
-`QuatLeastSquares` alone, and `rank` reads it there.
+`QuatLeastSquares` alone, which decides every quaternion rank (`rank` reads
+it there) and every fallback of the switched frame; its only other use is
+the per-arc tolerance that picks K in `balance._switched_solves`.
 """
 
 from __future__ import annotations
@@ -300,19 +301,6 @@ class QuatLeastSquares:
         return _from_adjoint_column(x), residual
 
 
-def qsolve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution of the square quaternion system A x = b, (n,n,4) and (n,4) -> (n,4).
-
-    Solves the real expansion; a singular ``A`` raises `numpy.linalg.LinAlgError`.
-    """
-    A = _check_qmat(A)
-    b = np.asarray(b, dtype=np.float64)
-    if A.shape[0] != A.shape[1] or b.shape != (A.shape[0], 4):
-        raise ShapeMismatchError(f"need a square matrix and a matching vector: {A.shape}, {b.shape}")
-    # real_expand orders a vector component-major: every w, then every x, y and z.
-    return np.linalg.solve(real_expand(A), b.T.reshape(-1)).reshape(4, len(b)).T
-
-
 def is_consistent(residual: float, b: np.ndarray) -> bool:
     return residual <= SOLVE_TOL * (1.0 + float(np.linalg.norm(b)))
 
@@ -392,11 +380,6 @@ def dqmat_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dqmat_mul(A, v[:, None, :])[:, 0, :]
 
 
-def dqvec_to_scalars(v: np.ndarray) -> list[DualQuaternion]:
-    return [DualQuaternion(Quaternion(*row[:4]), Quaternion(*row[4:]))
-            for row in np.asarray(v, dtype=np.float64).tolist()]
-
-
 def fr_norm(M: np.ndarray) -> float:
     """Frobenius norm over every real component (works for any of the array kinds)."""
     return float(np.linalg.norm(np.asarray(M, dtype=np.float64)))
@@ -406,8 +389,8 @@ __all__ = [
     "RANK_TOL", "SOLVE_TOL", "ShapeMismatchError",
     "qconj", "qmul", "qmat_mul", "qmat_conj_transpose",
     "real_expand", "complex_adjoint",
-    "QuatLeastSquares", "qsolve", "is_consistent", "rank",
+    "QuatLeastSquares", "is_consistent", "rank",
     "dq_standard", "dq_dual", "dq_join", "dqconj", "dqmul", "dqinv",
     "dqmat_mul", "dqmat_apply",
-    "dqvec_to_scalars", "fr_norm",
+    "fr_norm",
 ]

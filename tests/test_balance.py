@@ -18,6 +18,7 @@ from dqbalance.balance import (
     PotentialAssignment,
     Verdict,
     _null_space_pipeline,
+    _row_norms,
     _tree_potential,
     build_potential,
     check_balance,
@@ -604,16 +605,36 @@ def test_switched_frame_matches_the_dense_pipeline(monkeypatch):
     assert sum(seen[route, stage] for route, stage in seen if route == "switched") >= 500, seen
 
 
+@pytest.fixture
+def no_dense_solve(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a decide built the dense Laplacian or ran its staged solve")
+    monkeypatch.setattr(balance, "solve_standard_part", unused)
+    monkeypatch.setattr(balance, "laplacian", unused)
+
+
 @pytest.mark.parametrize("wt", UNIT_TYPES)
-def test_perturbed_two_thousand_cycle_is_decided_in_the_switched_frame(no_staged_solve, wt):
-    # The dense route would factor a 4000 x 3998 complex adjoint.
+def test_perturbed_two_thousand_cycle_is_decided_in_the_switched_frame(no_dense_solve,
+                                                                       monkeypatch, wt):
+    # The dense route would factor a 4000 x 3998 complex adjoint.  The
+    # switched frame factors only its two capacitance matrices, each once:
+    # |K| is the closing arc, and on the symmetrization its reverse too.
+    shapes = []
+    init = linalg.QuatLeastSquares.__init__
+
+    def counted(self, A):
+        shapes.append(np.shape(A))
+        init(self, A)
+    monkeypatch.setattr(linalg.QuatLeastSquares, "__init__", counted)
     g = gen_cycle(2000, wt, 0)
     g = perturb(g, cycle_arc(g), 1)
-    for method in (direct_method, gain_graph_method):
+    for method, k in ((direct_method, 1), (gain_graph_method, 2)):
+        shapes.clear()
         report = method(g)
         assert (report.verdict, report.failure_stage) == (Verdict.UNBALANCED,
                                                           FailureStage.STANDARD_SOLVE)
         assert cycle_deviation(g, report.witness) > BALANCE_TOL
+        assert shapes == [(k, k, 4)] * 2
 
 
 def test_a_bad_arc_excludes_a_balanced_verdict():
@@ -1154,6 +1175,20 @@ def test_edge_scale_verdicts_hold_on_the_written_out_products(kind, seed):
             assert report.verdict is (Verdict.BALANCED if balanced else Verdict.UNBALANCED)
             assert (report.verdict, report.failure_stage, report.witness) == \
                 (expected.verdict, expected.failure_stage, expected.witness)
+
+
+def test_row_norms_take_overflowing_rows_by_a_scaled_sum(rng):
+    # The bad arc of an edge-scaled graph has a defect with components near
+    # 2.4e154, whose squares overflow: its norm must read finite, and every
+    # other row must be np.linalg.norm's bit for bit.
+    a = rng.normal(size=(6, 8)) * 10.0 ** rng.uniform(-150, 150, size=(6, 1))
+    a[1] *= 2.4e154 / np.max(np.abs(a[1]))
+    a[4, 3] = np.inf
+    norms = _row_norms(a)
+    plain = np.delete(np.arange(6), [1, 4])
+    assert norms[plain].tobytes() == np.linalg.norm(a[plain], axis=1).tobytes()
+    assert norms[1] == pytest.approx(2.4e154 * np.linalg.norm(a[1] / 2.4e154), rel=1e-15)
+    assert np.isfinite(norms[1]) and norms[4] == np.inf
 
 
 def far_formation_graph(n, arcs, scale, seed):

@@ -18,7 +18,6 @@ from dqbalance.linalg import (
     fr_norm,
     is_consistent,
     qmat_mul,
-    qsolve,
     rank,
     real_expand,
 )
@@ -139,10 +138,38 @@ def test_square_solve_inverts_the_matrix_product(rng):
     A = random_qmat(rng, 5, 5)
     x = rng.normal(size=(5, 4))
     b = qmat_mul(A, x[:, None, :])[:, 0, :]
-    assert np.allclose(qsolve(A, b), x, atol=1e-10)
-    assert np.allclose(qsolve(A, b), QuatLeastSquares(A).solve(b)[0], atol=1e-10)
-    with pytest.raises(ShapeMismatchError):
-        qsolve(random_qmat(rng, 5, 4), np.zeros((5, 4)))
+    solver = QuatLeastSquares(A)
+    assert solver.full_column_rank
+    solved = solver.solve(b)[0]
+    assert np.allclose(solved, x, atol=1e-10)
+    # real_expand orders a vector component-major: every w, then every x, y and z.
+    expanded = np.linalg.solve(real_expand(A), b.T.reshape(-1)).reshape(4, 5).T
+    assert np.allclose(solved, expanded, atol=1e-10)
+
+
+def test_full_column_rank_is_the_condition_number_rule(rng):
+    # The switched frame falls back to the dense pipeline when a capacitance
+    # matrix is not of full column rank; away from the boundary that is a
+    # condition number of its complex adjoint above 1 / RANK_TOL.
+    matrices = []
+    for n in range(1, 7):
+        for m in (n, n + 2):
+            A = random_qmat(rng, m, n)
+            matrices += [A * 10.0 ** rng.uniform(-150, 150) for _ in range(3)]
+            for eps in 10.0 ** np.arange(-15.0, -4.0):
+                near = A.copy()
+                near[:, -1] = qmat_mul(A[:, :-1], rng.normal(size=(n - 1, 1, 4)))[:, 0] \
+                    + eps * rng.normal(size=(m, 4))
+                matrices.append(near)
+    outcomes = set()
+    for A in matrices:
+        cond = np.linalg.cond(complex_adjoint(A))
+        if abs(cond * RANK_TOL - 1.0) <= 0.01:
+            continue
+        deficient = not QuatLeastSquares(A).full_column_rank
+        assert deficient == (cond > 1.0 / RANK_TOL)
+        outcomes.add(deficient)
+    assert outcomes == {True, False}
 
 
 def test_solve_shape_mismatch():
