@@ -21,9 +21,12 @@ Four decision procedures are provided:
   gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
   that its oriented weight product is neutral (`_cycle_defects`).  The
-  cycles stay flat arrays (`graphs.CycleView`) from the enumeration through
-  the products; only the witness becomes an `OrientedCycle`.  Intended as a
-  desk-scale reference, not a production path.
+  enumeration extends all start vertices' paths one vertex per level over
+  arrays and yields the cycles already canonical and sorted
+  (`graphs.enumerate_cycles`).  The cycles stay flat arrays
+  (`graphs.CycleView`) from the enumeration through the products; only the
+  witness becomes an `OrientedCycle`.  Intended as a desk-scale reference,
+  not a production path.
 * `wdg_similarity_method` -- propagates a potential over a spanning tree
   by pointer doubling and checks every arc against it (`_tree_potential`).
 

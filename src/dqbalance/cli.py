@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 balanced, 1 unbalanced, 2 indeterminate, 3 usage error,
-4 input/output or parse error.
+4 input/output or parse error, or a document that is no valid graph (an arc
+end out of range, a loop, a duplicate arc, or a weight that fails its
+type's checks).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .balance import (
 )
 from .bench import run_benchmark, save_csv, write_csv
 from .generate import cycle_arc, gen_cycle, gen_random_balanced, gen_tree, perturb
-from .graphs import WeightType
+from .graphs import WeightedDigraph, WeightType
 from .serialize import (
     GraphFormatError,
     dumps_graph,
@@ -133,8 +135,18 @@ def _verdict_exit(verdicts: list[Verdict]) -> int:
     return 0
 
 
+def _load(path) -> WeightedDigraph:
+    """The graph in a file; any fault of the document is a `GraphFormatError`."""
+    try:
+        return load_graph(path)
+    except GraphFormatError:
+        raise
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
 def _cmd_check(args) -> int:
-    g = load_graph(args.file)
+    g = _load(args.file)
     if args.method == "all":
         if g.weight_type.is_unit:
             methods = [Method.DIRECT, Method.GAIN_GRAPH, Method.CYCLE_ORACLE]
@@ -197,7 +209,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_potential(args) -> int:
-    g = load_graph(args.file)
+    g = _load(args.file)
     assignment = build_potential(g)
     if assignment is None:
         print("no potential function exists: graph is unbalanced")

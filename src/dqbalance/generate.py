@@ -11,6 +11,8 @@ against.  Every generator is deterministic per seed.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from . import linalg
@@ -19,8 +21,8 @@ from .balance import is_neutral
 from .graphs import (
     WeightedDigraph,
     WeightType,
+    arc_positions,
     build,
-    enumerate_cycles,
     inverse_weights,
 )
 
@@ -152,12 +154,39 @@ def perturb(g: WeightedDigraph, arc: tuple[int, int], seed) -> WeightedDigraph:
             return g.with_weight(arc, new)
 
 
+def _networkx_first_cycle(g: WeightedDigraph, count: int) -> tuple[int, ...] | None:
+    """The smallest, in canonical form and order (see `graphs.enumerate_cycles`),
+    of the first ``count`` cycles that networkx's ``simple_cycles`` yields on
+    the underlying multigraph; None if it yields none."""
+    import networkx as nx
+
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(range(1, g.n + 1))
+    mg.add_edges_from(g.arcs)
+    best = None
+    for cycle in islice(nx.simple_cycles(mg), count):
+        p = cycle.index(min(cycle))
+        turned = cycle[p:] + cycle[:p]
+        key = (len(turned), min(turned, turned[:1] + turned[:0:-1]))
+        best = key if best is None else min(best, key)
+    return None if best is None else best[1]
+
+
 def cycle_arc(g: WeightedDigraph) -> tuple[int, int] | None:
-    """Some arc lying on a simple cycle, or None for acyclic graphs."""
-    enum = enumerate_cycles(g.graph, max_cycles=8)
-    if not enum.cycles:
+    """Some arc lying on a simple cycle, or None for acyclic graphs.
+
+    The arc is the first step, along an arc in preference to against one, of
+    the smallest of the first eight cycles that networkx's ``simple_cycles``
+    finds.  `perturb` redraws this arc in every unbalanced benchmark and test
+    instance, so the choice must not move; it depends on networkx's search
+    order, which is why networkx is imported here, on the first call, and
+    nowhere on the decide path.
+    """
+    cycle = _networkx_first_cycle(g, 8)
+    if cycle is None:
         return None
-    return enum.cycles[0].arcs()[0]
+    a, b = cycle[0], cycle[1]
+    return (a, b) if arc_positions(g.graph, [a], [b])[0] >= 0 else (b, a)
 
 
 def apply_switching(g: WeightedDigraph, zeta) -> WeightedDigraph:

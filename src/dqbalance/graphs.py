@@ -4,21 +4,21 @@ Vertices are 1-based (1..n).  An arc ``(i, j)`` points from tail ``i`` to
 head ``j``; loops and duplicate arcs are rejected, antiparallel pairs are
 allowed.  Weights are held as one read-only (m, 8) array in arc order.
 Graphs are immutable after construction and every query here is a pure
-function, so concurrent reads are safe.
+function, so concurrent reads are safe.  Simple cycles are enumerated by a
+search of this module's own over arrays (`enumerate_cycles`), so the module
+needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import linalg
@@ -180,6 +180,7 @@ def _check_weights(arcs, W: np.ndarray, weight_type: WeightType) -> None:
         finite = np.isfinite(norm)
         # The rule of `DualQuaternion.unit_defect`: the dual condition relative to |w|.
         defect = np.abs(mag - 1.0), np.abs(2.0 * np.sum(s * d, axis=1)) / norm
+        dual = np.linalg.norm(d, axis=1) if weight_type.dualfree else None
     checks = [(finite, NonFiniteWeightError, "weight is not finite")]
     if weight_type.is_unit:
         checks.append(((defect[0] <= UNIT_TOL) & (defect[1] <= UNIT_TOL), NonUnitWeightError,
@@ -193,12 +194,14 @@ def _check_weights(arcs, W: np.ndarray, weight_type: WeightType) -> None:
         checks.append((np.abs(s[:, 1:]).max(axis=1) <= EMBED_TOL,
                        WeightTypeMismatchError, "weight is not real"))
     if weight_type.dualfree:
-        checks.append((np.linalg.norm(d, axis=1) <= EMBED_TOL, WeightTypeMismatchError,
+        checks.append((dual <= EMBED_TOL, WeightTypeMismatchError,
                        f"{weight_type.value} weights carry no dual part"))
     valid = np.logical_and.reduce([ok for ok, _, _ in checks])
     if not valid.all():
         k = int(np.argmin(valid))
         error, message = next((error, message) for ok, error, message in checks if not ok[k])
+        if not finite[k] and np.all(np.isfinite(W[k])):
+            message = "weight is too large: its 8-component norm overflows"
         raise error(f"arc {arcs[k]}: " + message.format(defect[0][k], defect[1][k]))
 
 
@@ -537,6 +540,38 @@ def _directions(g: Digraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return forward
 
 
+def _core_times(indptr: list, indices: list) -> np.ndarray:
+    """For each vertex v of a simple graph in CSR lists, the largest s such that v
+    lies in the 2-core of the subgraph induced on the vertices ``>= s``; -1 if
+    v lies on no cycle.
+
+    One peeling, O(n + m): first the graph's own 2-core, then each vertex s in
+    turn leaves, and the vertices it drops below degree 2 leave with it.
+    """
+    k = len(indptr) - 1
+    degree = [indptr[v + 1] - indptr[v] for v in range(k)]
+    alive, time = [True] * k, [-1] * k
+
+    def peel(v: int, t: int) -> None:
+        alive[v], time[v], stack = False, t, [v]
+        while stack:
+            x = stack.pop()
+            for u in indices[indptr[x]:indptr[x + 1]]:
+                if alive[u]:
+                    degree[u] -= 1
+                    if degree[u] < 2:
+                        alive[u], time[u] = False, t
+                        stack.append(u)
+
+    for v in range(k):
+        if alive[v] and degree[v] < 2:
+            peel(v, -1)
+    for s in range(k):
+        if alive[s]:
+            peel(s, s)
+    return np.array(time, dtype=np.int32)
+
+
 def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     """All simple cycles of the digraph, traversable in either arc direction.
 
@@ -545,48 +580,101 @@ def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     reported once, canonicalized to start at its smallest vertex with the
     lexicographically smaller direction, and the cycles are sorted by length,
     then by their vertices; steps along antiparallel pairs prefer the forward
-    arc.  Enumeration stops after ``max_cycles`` results, a non-negative
-    integer, and sets the ``truncated`` flag.
+    arc.  ``max_cycles`` is a non-negative integer.  When there are more
+    cycles than that, ``truncated`` is set and the result holds the
+    ``max_cycles`` smallest cycles in this order.
 
-    The cycles are held as flat arrays (`CycleView`): the search's output is
-    flattened once, and the canonical form and the order are computed per
-    length, one array operation over all cycles of that length.
+    The 2-cycles are the antiparallel pairs.  The longer cycles come from one
+    search of the simple underlying graph that extends every start vertex's
+    paths one vertex per level, over arrays.  A path from s grows only into
+    vertices above s that are not on it and still lie in the 2-core of the
+    subgraph on the vertices ``>= s`` (`_core_times`); it closes into a
+    cycle when s is a neighbour of its end, it has three vertices or more,
+    and its second vertex is below its end.  Paths are kept as a
+    parent-pointer tree with one bit mask per path, and ascending neighbours
+    keep every level in lexicographic order, so each level's cycles come out
+    canonical and sorted.  The search stops after the level at which the
+    count passes ``max_cycles``.
     """
     if not (_is_vertex_type(type(max_cycles)) and max_cycles >= 0):
         raise ValueError(f"max_cycles must be a non-negative integer, not {max_cycles!r}")
-    mg = nx.MultiGraph()
-    mg.add_nodes_from(range(1, g.n + 1))
-    mg.add_edges_from(g.arcs)
-    raw = list(islice(nx.simple_cycles(mg), min(int(max_cycles), sys.maxsize - 1) + 1))
-    truncated = len(raw) > max_cycles
-    del raw[max_cycles:]
-    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
-    flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(lengths.sum()))
-    order = np.argsort(lengths, kind="stable")
-    starts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
-    groups = [np.empty((0, 2), dtype=np.intp)]
-    first = np.ones(len(lengths), dtype=bool)
-    first[1:] = lengths[1:] != lengths[:-1]
-    firsts = np.flatnonzero(first)
-    for lo, hi in zip(firsts, np.append(firsts[1:], len(lengths))):
-        length = int(lengths[lo])
-        rows = flat[starts[lo:hi, None] + np.arange(length)]
-        # Rotate each cycle to start at its smallest vertex; for three or more
-        # vertices the second vertex decides which direction is smaller.
-        turn = (np.argmin(rows, axis=1)[:, None] + np.arange(length)) % length
-        rows = rows[np.arange(hi - lo)[:, None], turn]
-        flip = rows[:, 1] > rows[:, -1]
-        rows[flip, 1:] = rows[flip, :0:-1]
-        # Lexicographic order by stable sorts from the last column to the first;
-        # `np.lexsort` gives the same order but pages in sort code that nothing
-        # else here runs (about 0.25 MB more peak RSS on the benchmark).
-        if hi - lo > 1:
-            order = np.arange(hi - lo)
-            for column in rows.T[::-1]:
-                order = order[np.argsort(column[order], kind="stable")]
-            rows = rows[order]
-        groups.append(rows)
-    vertices = np.concatenate([rows.ravel() for rows in groups])
+    tails, heads = g.tails, g.heads
+    reverse = arc_positions(g, heads + 1, tails + 1) >= 0
+    up = tails < heads
+    pairs = up & reverse
+    pairs = np.stack([tails[pairs], heads[pairs]], axis=1)      # sorted arcs: sorted pairs
+    count = len(pairs)
+    # The simple underlying graph, relabelled 0..k-1 in order over the vertices it touches.
+    edge = up | ~reverse
+    lo, hi = np.minimum(tails, heads)[edge], np.maximum(tails, heads)[edge]
+    label = np.unique(np.concatenate([lo, hi]))
+    k = len(label)
+    src = np.searchsorted(label, np.concatenate([lo, hi])).astype(np.int32)
+    dst = np.searchsorted(label, np.concatenate([hi, lo])).astype(np.int32)
+    order = np.argsort(src.astype(np.intp) * k + dst)
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    core = _core_times(indptr.tolist(), dst.tolist())
+    # Only 2-core vertices are ever reached; a neighbour u serves a path from s when s <= reach[u].
+    inner = core[dst] >= 0
+    src, dst = src[inner], dst[inner]
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    degree_of = np.diff(indptr)
+    keys = np.append(src * np.intp(k) + dst, k * k)     # ascending, then a sentinel
+    vertex = np.arange(k, dtype=np.int32)
+    reach = np.minimum(vertex - 1, core)
+    word = vertex >> 6
+    bit = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
+    end = start = second = np.flatnonzero(core == vertex).astype(np.int32)
+    mask = np.zeros((len(end), (k + 63) // 64), dtype=np.uint64)
+    ends, parents, closed = [end], [None], []
+    while len(end) and count <= max_cycles:
+        if len(ends) >= 3:
+            shut = np.flatnonzero(second < end)
+            key = start[shut] * np.intp(k) + end[shut]
+            shut = shut[keys[keys.searchsorted(key)] == key]
+            closed.append(shut)
+            count += len(shut)
+            if count > max_cycles:
+                break
+        degree = degree_of[end]
+        path = np.arange(len(end), dtype=np.int32).repeat(degree)
+        u = np.arange(len(path))
+        u -= (degree.cumsum() - degree - indptr[end]).repeat(degree)
+        u = dst[u]
+        keep = reach[u] >= start[path]
+        path, u = path[keep], u[keep]
+        w, b = word[u], bit[u]
+        keep = (mask[path, w] & b) == 0
+        path, u, w, b = path[keep], u[keep], w[keep], b[keep]
+        mask = mask[path]
+        mask[np.arange(len(u)), w] |= b
+        second = u if len(ends) == 1 else second[path]
+        start, end = start[path], u
+        ends.append(end)
+        parents.append(path)
+    truncated = count > max_cycles
+    if truncated and closed:    # the last level passed the bound: keep its first cycles
+        closed[-1] = closed[-1][:max_cycles - (count - len(closed[-1]))]
+    elif truncated:             # the 2-cycles alone passed it
+        pairs = pairs[:max_cycles]
+    # Walk the closed paths back through the tree, every length at once, deepest first.
+    sizes = [len(c) for c in closed]
+    lengths = np.repeat(np.arange(3, 3 + len(closed)), sizes)
+    out = np.empty(int(lengths.sum()), dtype=np.int32)
+    last = np.cumsum(lengths) - 1
+    offsets = np.cumsum([0] + sizes)
+    cursor, where = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.intp)
+    for level in range(len(closed) + 1 if closed else -1, -1, -1):
+        if level >= 2 and sizes[level - 2]:
+            cursor = np.concatenate([cursor, closed[level - 2]])
+            where = np.concatenate([where, last[offsets[level - 2]:offsets[level - 1]]])
+        out[where] = ends[level][cursor]
+        if level:
+            cursor, where = parents[level][cursor], where - 1
+    vertices = np.concatenate([pairs.ravel(), label[out]]) + 1
+    lengths = np.concatenate([np.full(len(pairs), 2), lengths])
     forward = _directions(g, vertices, _successors(vertices, lengths))
     return CycleEnumeration(CycleView(vertices, forward, lengths), truncated)
 

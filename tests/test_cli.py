@@ -114,6 +114,27 @@ def test_a_vertex_count_beyond_the_arc_keys_is_io_error(tmp_path, capsys):
     assert "4294967296 vertices" in err
 
 
+def arc_entry(tail, head, s=(1.0, 0.0, 0.0, 0.0), d=(0.0,) * 4):
+    return {"tail": tail, "head": head, "w": {"s": list(s), "d": list(d)}}
+
+
+@pytest.mark.parametrize("weight_type, arcs, message", [
+    ("real", [arc_entry(1, 4)], "out of range"),
+    ("real", [arc_entry(2, 2)], "loop arc"),
+    ("real", [arc_entry(1, 2), arc_entry(1, 2)], "duplicate arc"),
+    ("unit_complex", [arc_entry(1, 2, s=(2.0, 0.0, 0.0, 0.0))], "unit validation"),
+    ("real", [arc_entry(1, 2, s=(float("nan"), 0.0, 0.0, 0.0))], "not finite"),
+    ("complex", [arc_entry(1, 2, d=(1e170, 0.0, 0.0, 0.0))], "norm overflows"),
+])
+def test_an_invalid_document_is_an_input_error(tmp_path, capsys, weight_type, arcs, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "weight_type": weight_type, "arcs": arcs}))
+    for command in (["check", str(path), "--method", "all"], ["verify-potential", str(path)]):
+        code, out, err = run(capsys, *command)
+        assert code == 4 and out == ""
+        assert message in err and "Traceback" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/g.json")
     assert code == 4

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import sys
+import warnings
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -24,6 +28,7 @@ from dqbalance.graphs import (
     LoopArcError,
     MAX_VERTICES,
     NonAppreciableWeightError,
+    NonFiniteWeightError,
     NonUnitWeightError,
     OrientedCycle,
     WeightType,
@@ -40,7 +45,7 @@ from dqbalance.graphs import (
     walk_weight,
     weighted_magnitude_laplacian,
 )
-from dqbalance.serialize import cycle_to_obj
+from dqbalance.serialize import cycle_to_obj, loads_graph
 
 from conftest import (
     I,
@@ -153,6 +158,20 @@ def test_whole_array_validation_matches_the_scalar_loop(case):
     for got, want in zip((g.tails, g.heads, g.arc_keys), expected[1:]):
         assert got.dtype == np.intp and np.array_equal(got, want)
     assert [arcs[k] for k in g.order] == list(g.arcs)
+
+
+@pytest.mark.parametrize("wt", [WeightType.COMPLEX, WeightType.REAL])
+def test_a_dual_part_whose_norm_overflows_is_named_without_a_warning(wt):
+    # Every component is finite, but the 8-component norm overflows: the
+    # message says so, and no overflow warning escapes any check.
+    W = np.array([[1.0, 0.0, 0.0, 0.0, 1e170, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteWeightError, match=r"^arc \(1, 2\): .*norm overflows"):
+            build(2, [(1, 2)], W, wt)
+        W[0, 4] = np.inf
+        with pytest.raises(NonFiniteWeightError, match=r"^arc \(1, 2\): weight is not finite$"):
+            build(2, [(1, 2)], W, wt)
 
 
 def test_a_vertex_count_whose_arc_keys_overflow_is_rejected():
@@ -530,6 +549,69 @@ def test_cycle_arc_is_the_first_arc_of_the_first_cycle(wt):
         g = gen_random_balanced(3 + seed % 9, 0.15, wt, seed)
         reference, _ = reference_enumeration(g.graph, 8)
         assert cycle_arc(g) == (reference[0].arcs()[0] if reference else None)
+
+
+@st.composite
+def digraph_unions(draw):
+    """Disjoint unions of random digraphs, oriented forests (some tree arcs with
+    their reverse) and isolated vertices, on interleaved vertex numbers."""
+    arcs, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(["random", "forest", "isolated"]),
+                              min_size=1, max_size=4)):
+        size = draw(st.integers(1, 6))
+        if kind == "random":
+            density = draw(st.floats(0.0, 1.0))
+            keep = draw(st.lists(st.floats(0.0, 1.0).map(lambda u: u < density),
+                                 min_size=size * (size - 1), max_size=size * (size - 1)))
+            pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+            arcs += [(n + i, n + j) for (i, j), k in zip(pairs, keep) if k]
+        elif kind == "forest":
+            for v in range(1, size):
+                p = draw(st.integers(0, v - 1))
+                ends = [(n + p, n + v), (n + v, n + p)]
+                arcs += ends if draw(st.booleans()) else ends[draw(st.integers(0, 1)):][:1]
+        n += size
+    label = draw(st.permutations(range(1, n + 1)))
+    return Digraph(n, tuple((label[i], label[j]) for i, j in arcs))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(g=digraph_unions(), max_cycles=st.none() | st.integers(0, 40))
+def test_enumerate_cycles_matches_the_networkx_reference(g, max_cycles):
+    # Untruncated, the cycles equal the reference's; truncated, they are its
+    # first `max_cycles`, the smallest in canonical order.
+    reference, _ = reference_enumeration(g)
+    enum = enumerate_cycles(g) if max_cycles is None else enumerate_cycles(g, max_cycles)
+    k = len(reference) if max_cycles is None else max_cycles
+    assert enum.truncated == (len(reference) > k)
+    assert enum.cycles == reference[:k]
+
+
+def load_workloads():
+    """The benchmark's workload module, loaded by path: it is not part of the package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_enumerate_cycles_matches_the_reference_on_the_desk_documents():
+    workloads = load_workloads()
+    for seed in (1, 2, 3):
+        for instance in workloads.desk_instances(seed, workloads.DESK_SIZES):
+            g = loads_graph(instance.doc).graph
+            enum = enumerate_cycles(g)
+            assert not enum.truncated and enum.cycles == reference_enumeration(g)[0]
+
+
+def test_enumerate_cycles_on_a_directed_2000_cycle():
+    n = 2000
+    g = Digraph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+    enum = enumerate_cycles(g)
+    assert not enum.truncated and enum.cycles == reference_enumeration(g)[0]
+    assert enum.cycles[0] == OrientedCycle(tuple(range(1, n + 1)), (True,) * n)
 
 
 # ---------------------------------------------------------------------------
