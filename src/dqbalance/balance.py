@@ -22,8 +22,8 @@ Four decision procedures are provided:
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
   that its oriented weight product is neutral (`_cycle_defects`).  The
   enumeration extends all start vertices' paths one vertex per level over
-  arrays and yields the cycles already canonical and sorted
-  (`graphs.enumerate_cycles`).  The cycles stay flat arrays
+  arrays, each path within one biconnected block, and yields the cycles
+  already canonical and sorted (`graphs.enumerate_cycles`).  The cycles stay flat arrays
   (`graphs.CycleView`) from the enumeration through the products; only the
   witness becomes an `OrientedCycle`.  Intended as a desk-scale reference,
   not a production path.

@@ -169,7 +169,7 @@ def _networkx_first_cycle(g: WeightedDigraph, count: int) -> tuple[int, ...] | N
         turned = cycle[p:] + cycle[:p]
         key = (len(turned), min(turned, turned[:1] + turned[:0:-1]))
         best = key if best is None else min(best, key)
-    return None if best is None else best[1]
+    return None if best is None else tuple(best[1])
 
 
 def cycle_arc(g: WeightedDigraph) -> tuple[int, int] | None:

@@ -5,8 +5,9 @@ head ``j``; loops and duplicate arcs are rejected, antiparallel pairs are
 allowed.  Weights are held as one read-only (m, 8) array in arc order.
 Graphs are immutable after construction and every query here is a pure
 function, so concurrent reads are safe.  Simple cycles are enumerated by a
-search of this module's own over arrays (`enumerate_cycles`), so the module
-needs numpy alone.
+search of this module's own over arrays, block by biconnected block and
+within a memory budget (`enumerate_cycles`), so the module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -569,7 +570,82 @@ def _core_times(indptr: list, indices: list) -> np.ndarray:
     for s in range(k):
         if alive[s]:
             peel(s, s)
-    return np.array(time, dtype=np.int32)
+    return np.array(time, dtype=np.intp)
+
+
+def _blocks(indptr: list, indices: list, reverse: list) -> list:
+    """The biconnected block of each entry of a simple graph in CSR lists,
+    numbered from 0; ``reverse[e]`` is the entry of e's other direction, and
+    both directions of an edge get its block.
+
+    Iterative Hopcroft-Tarjan, O(n + m): each edge goes on a stack once, as a
+    tree edge or as a back edge from its lower end, and a block is popped
+    when the search leaves a vertex that nothing below it reaches above.
+    """
+    k = len(indptr) - 1
+    disc, low, up, tree = [-1] * k, [0] * k, [-1] * k, [-1] * k
+    following = indptr[:-1]
+    block = [-1] * len(indices)
+    edges, count, t = [], 0, 0
+    for root in range(k):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            e = following[v]
+            if e < indptr[v + 1]:
+                following[v] = e + 1
+                u = indices[e]
+                if disc[u] < 0:
+                    disc[u] = low[u] = t
+                    t += 1
+                    up[u], tree[u] = v, e
+                    edges.append(e)
+                    stack.append(u)
+                elif disc[u] < disc[v] and u != up[v]:
+                    edges.append(e)
+                    low[v] = min(low[v], disc[u])
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    e = -1
+                    while e != tree[v]:
+                        e = edges.pop()
+                        block[e] = block[reverse[e]] = count
+                    count += 1
+    return block
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending.  (``np.unique`` would import
+    ``numpy.ma`` on its first call, 1.7 MB of resident memory.)"""
+    a = np.sort(a, kind="stable")
+    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
+
+
+def _csr(src: np.ndarray, dst: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries ``src[e] -> dst[e]`` over k vertices sorted by (src, dst): the
+    sorting order, the row pointers and the sorted keys ``src * k + dst``."""
+    keys = src * np.intp(k) + dst
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    return order, indptr, keys[order]
+
+
+# The memory, in eight-byte words, that one search may hold: each path one
+# word in the tree (its end and its parent), and while it is on the frontier
+# two more (its start, second vertex and end) and its visited mask.
+SEARCH_WORDS = 1 << 26
+# The paths of a level that are extended at once.
+_CHUNK = 1 << 12
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
@@ -582,18 +658,25 @@ def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     then by their vertices; steps along antiparallel pairs prefer the forward
     arc.  ``max_cycles`` is a non-negative integer.  When there are more
     cycles than that, ``truncated`` is set and the result holds the
-    ``max_cycles`` smallest cycles in this order.
+    ``max_cycles`` smallest cycles in this order.  The search also stops,
+    with ``truncated`` set, before its paths would take more than
+    `SEARCH_WORDS` words; the result then holds fewer cycles, again the
+    smallest in this order.
 
     The 2-cycles are the antiparallel pairs.  The longer cycles come from one
     search of the simple underlying graph that extends every start vertex's
-    paths one vertex per level, over arrays.  A path from s grows only into
-    vertices above s that are not on it and still lie in the 2-core of the
-    subgraph on the vertices ``>= s`` (`_core_times`); it closes into a
-    cycle when s is a neighbour of its end, it has three vertices or more,
-    and its second vertex is below its end.  Paths are kept as a
-    parent-pointer tree with one bit mask per path, and ascending neighbours
-    keep every level in lexicographic order, so each level's cycles come out
-    canonical and sorted.  The search stops after the level at which the
+    paths one vertex per level, over arrays.  Every cycle lies in one
+    biconnected block (`_blocks`), so the search runs on the blocks side by
+    side, a cut vertex once in each of its blocks, and a path's visited mask
+    has a bit for each vertex of its own block.  A path from s grows only
+    into vertices above s that are not on it and still lie in the 2-core of
+    its block's subgraph on the vertices ``>= s`` (`_core_times`); it closes
+    into a cycle when s is a neighbour of its end, it has three vertices or
+    more, and its second vertex is below its end.  Paths are kept as a
+    parent-pointer tree, and ascending neighbours keep every level in
+    lexicographic order, so each level's cycles come out canonical and
+    sorted.  A level grows `_CHUNK` paths at a time and its new paths are
+    closed as they come, so the search stops within the chunk at which the
     count passes ``max_cycles``.
     """
     if not (_is_vertex_type(type(max_cycles)) and max_cycles >= 0):
@@ -607,70 +690,99 @@ def enumerate_cycles(g: Digraph, max_cycles: int = 10 ** 6) -> CycleEnumeration:
     # The simple underlying graph, relabelled 0..k-1 in order over the vertices it touches.
     edge = up | ~reverse
     lo, hi = np.minimum(tails, heads)[edge], np.maximum(tails, heads)[edge]
-    label = np.unique(np.concatenate([lo, hi]))
+    label = _distinct(np.concatenate([lo, hi]))
     k = len(label)
-    src = np.searchsorted(label, np.concatenate([lo, hi])).astype(np.int32)
-    dst = np.searchsorted(label, np.concatenate([hi, lo])).astype(np.int32)
-    order = np.argsort(src.astype(np.intp) * k + dst)
+    src = np.searchsorted(label, np.concatenate([lo, hi]))
+    dst = np.searchsorted(label, np.concatenate([hi, lo]))
+    order, indptr, keys = _csr(src, dst, k)
     src, dst = src[order], dst[order]
-    indptr = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
-    core = _core_times(indptr.tolist(), dst.tolist())
-    # Only 2-core vertices are ever reached; a neighbour u serves a path from s when s <= reach[u].
-    inner = core[dst] >= 0
-    src, dst = src[inner], dst[inner]
-    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    back = np.searchsorted(keys, dst * np.intp(k) + src)
+    blk = np.array(_blocks(indptr.tolist(), dst.tolist(), back.tolist()), dtype=np.intp)
+    keys = np.append(keys, k * k)                       # ascending, then a sentinel
+    # The blocks side by side: node x is the vertex node[x] % k in the block
+    # node[x] // k, numbered block after block in vertex order.
+    node = _distinct(blk * np.intp(k) + src)
+    tail = np.searchsorted(node, blk * np.intp(k) + src)
+    head = np.searchsorted(node, blk * np.intp(k) + dst)
+    local = head - np.searchsorted(node, blk * np.intp(k))
+    node = (node % k).astype(np.int32)
+    order, indptr, _ = _csr(tail, head, len(node))
+    tail, head, local = tail[order], head[order], local[order]
+    core = _core_times(indptr.tolist(), head.tolist())
+    core = np.where(core >= 0, node[core], -1)          # as a vertex, in the node's block
+    # A path from s takes the entry e when s <= reach[e]; entries outside the
+    # blocks' 2-cores are never taken.
+    use = core[head] >= 0
+    tail, head, local = tail[use], head[use], local[use]
+    reach = np.minimum(node[head] - 1, core[head])
+    first = np.flatnonzero((core[tail] == node[tail]) & (reach >= node[tail]))
+    first = first[np.argsort(node[tail[first]] * np.intp(k) + node[head[first]], kind="stable")]
+    np.cumsum(np.bincount(tail, minlength=len(node)), out=indptr[1:])
     degree_of = np.diff(indptr)
-    keys = np.append(src * np.intp(k) + dst, k * k)     # ascending, then a sentinel
-    vertex = np.arange(k, dtype=np.int32)
-    reach = np.minimum(vertex - 1, core)
-    word = vertex >> 6
-    bit = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
-    end = start = second = np.flatnonzero(core == vertex).astype(np.int32)
-    mask = np.zeros((len(end), (k + 63) // 64), dtype=np.uint64)
-    ends, parents, closed = [end], [None], []
-    while len(end) and count <= max_cycles:
-        if len(ends) >= 3:
-            shut = np.flatnonzero(second < end)
-            key = start[shut] * np.intp(k) + end[shut]
-            shut = shut[keys[keys.searchsorted(key)] == key]
-            closed.append(shut)
-            count += len(shut)
+    word, bit = local >> 6, _BIT[local & 63]
+    words = int(local.max(initial=0)) // 64 + 1
+    mask = np.zeros((len(first), words), dtype=np.uint64)
+    mask[np.arange(len(first)), word[first]] = bit[first]
+    start, end = node[tail[first]], head[first]
+    second = node[end]
+    ends, parents, closed = [start, end], [None, np.arange(len(first), dtype=np.int32)], []
+    held, truncated = (4 + words) * len(first), False
+    while len(end) and count <= max_cycles and not truncated:
+        # Grow the level a chunk of paths at a time, closing the new paths as
+        # they come: they come in order, so the search can stop mid-level.
+        grown, shut, size = [], [], 0
+        for at in range(0, len(end), _CHUNK):
+            tip = end[at:at + _CHUNK]
+            degree = degree_of[tip]
+            path = np.arange(at, at + len(tip), dtype=np.int32).repeat(degree)
+            e = np.arange(len(path)) - (degree.cumsum() - degree - indptr[tip]).repeat(degree)
+            keep = reach[e] >= start[path]
+            path, e = path[keep], e[keep]
+            keep = (mask[path, word[e]] & bit[e]) == 0
+            path, e = path[keep], e[keep]
+            held += (3 + words) * len(path)
+            if held > SEARCH_WORDS:
+                truncated = True
+                break
+            h = head[e]
+            u = node[h]
+            key = start[path] * np.intp(k) + u
+            ring = ((second[path] < u) & (keys[keys.searchsorted(key)] == key)).nonzero()[0]
+            grown.append((path, e, h))
+            shut.append(ring + size)
+            size += len(path)
+            count += len(ring)
             if count > max_cycles:
                 break
-        degree = degree_of[end]
-        path = np.arange(len(end), dtype=np.int32).repeat(degree)
-        u = np.arange(len(path))
-        u -= (degree.cumsum() - degree - indptr[end]).repeat(degree)
-        u = dst[u]
-        keep = reach[u] >= start[path]
-        path, u = path[keep], u[keep]
-        w, b = word[u], bit[u]
-        keep = (mask[path, w] & b) == 0
-        path, u, w, b = path[keep], u[keep], w[keep], b[keep]
-        mask = mask[path]
-        mask[np.arange(len(u)), w] |= b
-        second = u if len(ends) == 1 else second[path]
-        start, end = start[path], u
-        ends.append(end)
+        if not grown:
+            break
+        path, e, h = grown[0] if len(grown) == 1 else map(np.concatenate, zip(*grown))
+        del grown
+        closed.append(shut[0] if len(shut) == 1 else np.concatenate(shut))
+        ends.append(h)
         parents.append(path)
-    truncated = count > max_cycles
-    if truncated and closed:    # the last level passed the bound: keep its first cycles
+        if count <= max_cycles and not truncated:
+            held -= (2 + words) * len(end)
+            mask = mask[path]
+            mask[np.arange(len(e)), word[e]] |= bit[e]
+            start, second, end = start[path], second[path], h
+    truncated = truncated or count > max_cycles
+    if count > max_cycles and closed:   # the last level passed the bound: keep its first cycles
         closed[-1] = closed[-1][:max_cycles - (count - len(closed[-1]))]
-    elif truncated:             # the 2-cycles alone passed it
+    elif count > max_cycles:            # the 2-cycles alone passed it
         pairs = pairs[:max_cycles]
     # Walk the closed paths back through the tree, every length at once, deepest first.
     sizes = [len(c) for c in closed]
     lengths = np.repeat(np.arange(3, 3 + len(closed)), sizes)
-    out = np.empty(int(lengths.sum()), dtype=np.int32)
+    out = np.empty(int(lengths.sum()), dtype=np.intp)
     last = np.cumsum(lengths) - 1
     offsets = np.cumsum([0] + sizes)
-    cursor, where = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.intp)
+    cursor, where = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     for level in range(len(closed) + 1 if closed else -1, -1, -1):
         if level >= 2 and sizes[level - 2]:
             cursor = np.concatenate([cursor, closed[level - 2]])
             where = np.concatenate([where, last[offsets[level - 2]:offsets[level - 1]]])
-        out[where] = ends[level][cursor]
+        out[where] = node[ends[level][cursor]] if level else ends[0][cursor]
         if level:
             cursor, where = parents[level][cursor], where - 1
     vertices = np.concatenate([pairs.ravel(), label[out]]) + 1

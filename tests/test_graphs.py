@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from dqbalance.algebra import (
     UnitDualQuaternion,
     random_udq,
 )
+from dqbalance import graphs
 from dqbalance.generate import cycle_arc, gen_random_balanced, gen_tree, random_weight
 from dqbalance.graphs import (
     ArcNotFoundError,
@@ -553,24 +555,29 @@ def test_cycle_arc_is_the_first_arc_of_the_first_cycle(wt):
 
 @st.composite
 def digraph_unions(draw):
-    """Disjoint unions of random digraphs, oriented forests (some tree arcs with
-    their reverse) and isolated vertices, on interleaved vertex numbers."""
+    """Unions of random digraphs, oriented forests (some tree arcs with their
+    reverse) and isolated vertices, on interleaved vertex numbers.  A part
+    after the first may share one vertex with the parts before it, which
+    makes that vertex a cut vertex between blocks."""
     arcs, n = [], 0
     for kind in draw(st.lists(st.sampled_from(["random", "forest", "isolated"]),
                               min_size=1, max_size=4)):
         size = draw(st.integers(1, 6))
+        ids = list(range(n, n + size))
+        if n and kind != "isolated" and draw(st.booleans()):
+            ids = [draw(st.integers(0, n - 1))] + ids[:-1]
         if kind == "random":
             density = draw(st.floats(0.0, 1.0))
             keep = draw(st.lists(st.floats(0.0, 1.0).map(lambda u: u < density),
                                  min_size=size * (size - 1), max_size=size * (size - 1)))
             pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
-            arcs += [(n + i, n + j) for (i, j), k in zip(pairs, keep) if k]
+            arcs += [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k]
         elif kind == "forest":
             for v in range(1, size):
                 p = draw(st.integers(0, v - 1))
-                ends = [(n + p, n + v), (n + v, n + p)]
+                ends = [(ids[p], ids[v]), (ids[v], ids[p])]
                 arcs += ends if draw(st.booleans()) else ends[draw(st.integers(0, 1)):][:1]
-        n += size
+        n = max(n, ids[-1] + 1)
     label = draw(st.permutations(range(1, n + 1)))
     return Digraph(n, tuple((label[i], label[j]) for i, j in arcs))
 
@@ -612,6 +619,80 @@ def test_enumerate_cycles_on_a_directed_2000_cycle():
     enum = enumerate_cycles(g)
     assert not enum.truncated and enum.cycles == reference_enumeration(g)[0]
     assert enum.cycles[0] == OrientedCycle(tuple(range(1, n + 1)), (True,) * n)
+
+
+
+def diamond_chain(d):
+    """Hubs 3i + 1 joined to the next hub 3i + 4 through 3i + 2 and through
+    3i + 3: d four-cycles in a row, with 2^d paths from the first hub to the
+    last."""
+    return Digraph(3 * d + 1, tuple(arc for h in range(1, 3 * d, 3)
+                                    for arc in ((h, h + 1), (h + 1, h + 3),
+                                                (h, h + 2), (h + 2, h + 3))))
+
+
+def test_enumerate_cycles_keeps_each_path_in_its_block():
+    # Each diamond is a block of its own, so no path crosses a hub: the 40
+    # four-cycles come out at once, where one search over the whole chain
+    # would extend 2^40 paths.
+    tracemalloc.start()
+    try:
+        enum = enumerate_cycles(diamond_chain(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not enum.truncated
+    assert enum.cycles == tuple(OrientedCycle((h, h + 1, h + 3, h + 2), (True, True, False, False))
+                                for h in range(1, 120, 3))
+    assert peak < 2 ** 20
+
+
+def test_enumerate_cycles_sizes_its_masks_to_the_blocks():
+    # 10^4 disjoint triangles: a mask over every vertex would be 157 words
+    # per path, 12.5 MB for the starts alone; a mask over the block is one.
+    t = 10 ** 4
+    g = Digraph(3 * t, tuple(arc for a in range(1, 3 * t, 3)
+                             for arc in ((a, a + 1), (a + 1, a + 2), (a + 2, a))))
+    tracemalloc.start()
+    try:
+        enum = enumerate_cycles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not enum.truncated
+    assert enum.cycles == tuple(OrientedCycle((a, a + 1, a + 2), (True, True, True))
+                                for a in range(1, 3 * t, 3))
+    assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("words", [0, 40, 200, 1000, 5000])
+def test_a_search_past_its_memory_budget_keeps_its_smallest_cycles(monkeypatch, chunk, words):
+    # The search stops before its paths pass SEARCH_WORDS, at a chunk
+    # boundary inside a level: the result is truncated and holds a prefix of
+    # the canonical order.
+    g = Digraph(7, tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8)))
+    reference, _ = reference_enumeration(g)
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    monkeypatch.setattr(graphs, "SEARCH_WORDS", words)
+    enum = enumerate_cycles(g)
+    assert enum.truncated and len(enum.cycles) < len(reference)
+    assert enum.cycles == reference[:len(enum.cycles)]
+    monkeypatch.setattr(graphs, "SEARCH_WORDS", 10 ** 6)
+    assert enumerate_cycles(g) == CycleEnumeration(CycleView.of(reference), False)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_a_search_stops_inside_the_level_that_passes_max_cycles(monkeypatch, chunk):
+    # Chunks smaller than a level: the count passes max_cycles mid-level, and
+    # the result is still the reference's first max_cycles cycles.
+    g = Digraph(6, tuple((i, j) for i in range(1, 7) for j in range(1, 7) if i < j or j == i - 2))
+    reference, _ = reference_enumeration(g)
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    for k in range(len(reference) + 2):
+        enum = enumerate_cycles(g, k)
+        assert enum.truncated == (k < len(reference))
+        assert enum.cycles == reference[:k]
 
 
 # ---------------------------------------------------------------------------
