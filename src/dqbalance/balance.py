@@ -6,17 +6,9 @@ Four decision procedures are provided:
   the weighted Laplacian; only when the potential fails on some arc does it
   solve the null system in two least-squares stages (standard part, then
   dual part) to name the stage that fails; a failing arc excludes a balanced
-  verdict.  The stages run in the frame switched by the potential, where
-  the Laplacian is the real unweighted one less a correction on the arcs K
-  that do not factor through the potential: one real factorization of a
-  reduced unweighted Laplacian and one of its transpose, and a Woodbury
-  system in |K| quaternion unknowns (`_switched_solves`).  Each stage's
-  least-squares residual is the component of its right-hand side along the
-  left null vector ``ell`` of the reduced standard matrix, and the solution
-  solves the right-hand side projected off ``ell``.  Without a vertex that
-  every vertex reaches, or with a rank-deficient capacitance matrix (or a K
-  too large for the Woodbury system to pay), the stages take one SVD of the
-  dense Laplacian's standard part instead (`_null_space_pipeline`).
+  verdict.  The stages run in the frame switched by the potential where
+  that frame applies (`_switched_solves`), else on the dense Laplacian
+  (`_null_space_pipeline`).
 * `gain_graph_method` -- the same on the symmetrization of the digraph, a
   gain graph with a Hermitian Laplacian.
 * `cycle_oracle` -- brute force: enumerates every simple cycle and tests
@@ -71,14 +63,10 @@ from .graphs import (
 )
 
 # Residual threshold below which a similarity / neutrality certificate is
-# accepted as balanced.
+# accepted as balanced; the symmetry, unit and orthogonality checks of the
+# staged solves use it too, the symmetry and orthogonality ones relative to
+# the 8-component norm of their weight or entry.
 BALANCE_TOL = 1e-8
-
-# Tolerances for the intermediate checks of the pipeline, the symmetry and
-# orthogonality ones relative to the 8-component norm of their weight or entry.
-SYMMETRY_TOL = 1e-8
-UNIT_CHECK_TOL = 1e-8
-ORTHOGONALITY_TOL = 1e-8
 
 
 class NotConnectedError(ValueError):
@@ -211,12 +199,12 @@ class DualSolveResult:
 # ---------------------------------------------------------------------------
 
 def check_symmetry_pairs(g: WeightedDigraph) -> tuple[int, int] | None:
-    """First antiparallel pair with ``|w_ij - conj(w_ji)| > SYMMETRY_TOL * |w_ij|``, if any."""
+    """First antiparallel pair with ``|w_ij - conj(w_ji)| > BALANCE_TOL * |w_ij|``, if any."""
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     reverse = arc_positions(g.graph, heads + 1, tails + 1)
     pairs = np.flatnonzero((tails < heads) & (reverse >= 0))
     defect = np.linalg.norm(W[pairs] - linalg.dqconj(W[reverse[pairs]]), axis=1)
-    bad = pairs[defect > SYMMETRY_TOL * np.linalg.norm(W[pairs], axis=1)]
+    bad = pairs[defect > BALANCE_TOL * np.linalg.norm(W[pairs], axis=1)]
     return g.arcs[bad[0]] if len(bad) else None
 
 
@@ -239,15 +227,15 @@ def solve_standard_part(L: np.ndarray) -> StandardSolveResult:
 
 
 def _unit(x: np.ndarray) -> bool:
-    """Whether every entry of a quaternion vector has magnitude 1 within ``UNIT_CHECK_TOL``."""
-    return bool(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= UNIT_CHECK_TOL)
+    """Whether every entry of a quaternion vector has magnitude 1 within ``BALANCE_TOL``."""
+    return bool(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= BALANCE_TOL)
 
 
 def _orthogonal(x_s: np.ndarray, x_d: np.ndarray) -> bool:
     """Whether ``2 Re(x_sj * conj(x_dj)) == 0`` for every entry, within
-    ``ORTHOGONALITY_TOL`` times the entry's 8-component norm."""
+    ``BALANCE_TOL`` times the entry's 8-component norm."""
     defect = np.abs(2.0 * np.sum(x_s * x_d, axis=1))
-    return bool(np.all(defect <= ORTHOGONALITY_TOL * np.linalg.norm(np.hstack([x_s, x_d]), axis=1)))
+    return bool(np.all(defect <= BALANCE_TOL * np.linalg.norm(np.hstack([x_s, x_d]), axis=1)))
 
 
 def solve_dual_part(L: np.ndarray, x_s: np.ndarray,
@@ -467,9 +455,7 @@ def _seeded_decide(g: WeightedDigraph, method: Method) -> BalanceReport:
     name, symmetrize = f"{method.value}_method", method is Method.GAIN_GRAPH
     if not g.weight_type.is_unit:
         raise NotUnitWeightTypeError(f"{name} requires a unit weight type")
-    tp = _tree_potential(g)
-    if not tp.connected:
-        raise NotConnectedError(f"{name} requires a weakly connected graph")
+    tp = _connected_tree_potential(g, name)
     violation = check_symmetry_pairs(g)
     if violation is not None:
         return BalanceReport(Verdict.UNBALANCED, method,
@@ -505,25 +491,14 @@ def direct_method(g: WeightedDigraph) -> BalanceReport:
     arc f is certified (`wdg_similarity_check`): it must conjugate L onto
     the magnitude Laplacian, which for unit weights is the unweighted one.
     (3) Otherwise the reduced standard and dual systems of ``L x = 0`` are
-    solved with the first entry pinned, to name the stage that fails.  They
-    are solved in the frame switched by f (`_switched_solves`), where
-    ``L' = diag(f) L diag(conj f)`` is the real unweighted Laplacian L0 less
-    a correction on the arcs K that do not factor through f.  L0 with column
-    1 and the row of a vertex r that every vertex reaches removed is
-    nonsingular and factored once; a Woodbury system in |K| quaternion
-    unknowns does the rest.  Each stage's least-squares residual is the
-    component of its right-hand side along the left null vector ``ell`` of
-    the reduced standard matrix (``ell_r = 1``), and the solution solves the
-    right-hand side projected off ``ell``, as the dense least squares would.
-    Two cases fall back to one SVD of the dense Laplacian's standard part
-    (`_null_space_pipeline`): no vertex is reached by every vertex (no
-    directed spanning tree), or a capacitance matrix is rank-deficient to
-    `QuatLeastSquares`; so does a K too large for the Woodbury system to
-    be the cheaper (2|K| > n).  A standard part of rank below n-1, as on
-    every graph without a directed spanning tree, leaves the null space
-    structure unknown and yields an indeterminate verdict.  A bad arc of f
-    excludes a balanced verdict: the staged solves then end in
-    ``cycle_found`` with the closing cycle as the witness.
+    solved with the first entry pinned, to name the stage that fails: in the
+    frame switched by f, or on the dense Laplacian where that frame does not
+    apply (`_switched_solves` derives the frame and says when).  A standard
+    part of rank below n-1, as on every graph without a directed spanning
+    tree, leaves the null space structure unknown and yields an
+    indeterminate verdict.  A bad arc of f excludes a balanced verdict: the
+    staged solves then end in ``cycle_found`` with the closing cycle as the
+    witness.
     """
     return _seeded_decide(g, Method.DIRECT)
 
@@ -679,10 +654,23 @@ def _tree_potential(g: WeightedDigraph) -> _TreePotential:
         live = live[parent_arc[ancestor[live]] >= 0]
     tails, heads, W = g.graph.tails, g.graph.heads, g.weight_array
     c = np.linalg.norm(W[:, :4], axis=1)
-    predicted = linalg.dqmul(linalg.dqinv(theta[tails]), theta[heads]) * c[:, None]
+    predicted = linalg.dqmul(linalg.dqinv(theta)[tails], theta[heads]) * c[:, None]
     bad = np.flatnonzero(_row_norms(W - predicted) > BALANCE_TOL * np.linalg.norm(W, axis=1))
     connected = int(np.count_nonzero(parent_arc < 0)) == 1     # one root per weak component
     return _TreePotential(theta, connected, int(bad[0]) if len(bad) else None, c, forest)
+
+
+def _connected_tree_potential(g: WeightedDigraph, name: str) -> _TreePotential:
+    """`_tree_potential` of ``g``, which the method ``name`` requires to be
+    weakly connected (else `NotConnectedError`).
+
+    Fewer than n - 1 arcs cannot connect n vertices: that is decided before
+    any per-vertex array is allocated.
+    """
+    tp = _tree_potential(g) if len(g.arcs) >= g.n - 1 else None
+    if tp is None or not tp.connected:
+        raise NotConnectedError(f"{name} requires a weakly connected graph")
+    return tp
 
 
 def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
@@ -693,9 +681,7 @@ def build_potential(g: WeightedDigraph) -> PotentialAssignment | None:
     checked against the factorization with its magnitude-forced scalar.
     Absence of a potential is equivalent to some cycle being non-neutral.
     """
-    tp = _tree_potential(g)
-    if not tp.connected:
-        raise NotConnectedError("build_potential requires a weakly connected graph")
+    tp = _connected_tree_potential(g, "build_potential")
     if tp.bad is not None:
         return None
     return PotentialAssignment({v: DualQuaternion.from_array(row)
@@ -769,9 +755,7 @@ def wdg_similarity_method(g: WeightedDigraph) -> BalanceReport:
     cycle with its tree path, which is returned as the witness.  On success
     the similarity certificate provides the residual.
     """
-    tp = _tree_potential(g)
-    if not tp.connected:
-        raise NotConnectedError("wdg_similarity_method requires a weakly connected graph")
+    tp = _connected_tree_potential(g, "wdg_similarity_method")
     if tp.bad is not None:
         return BalanceReport(Verdict.UNBALANCED, Method.WDG_SIMILARITY,
                              failure_stage=FailureStage.CYCLE_FOUND,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 balanced, 1 unbalanced, 2 indeterminate, 3 usage error,
-4 input/output or parse error, or a document that is no valid graph (an arc
-end out of range, a loop, a duplicate arc, or a weight that fails its
-type's checks).
+Exit codes: 0 balanced, 1 unbalanced, 2 indeterminate, 3 usage error or a
+method that does not apply to the graph, 4 input/output or parse error, or a
+document that is no valid graph (an arc end out of range, a loop, a
+duplicate arc, or a weight that fails its type's checks), 5 out of memory.
+Codes 3 to 5 are no verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from .balance import (
     BalanceReport,
     Method,
-    NotUnitWeightTypeError,
     Verdict,
     build_potential,
     check_balance,
@@ -35,6 +35,7 @@ from .serialize import (
 
 USAGE_EXIT = 3
 IO_EXIT = 4
+MEMORY_EXIT = 5
 
 _TYPE_ALIASES = {
     "udq": WeightType.UNIT_DUAL_QUATERNION,
@@ -154,13 +155,7 @@ def _cmd_check(args) -> int:
             methods = [Method.CYCLE_ORACLE, Method.WDG_SIMILARITY]
     else:
         methods = [_METHOD_ALIASES[args.method]]
-    reports = []
-    for method in methods:
-        try:
-            reports.append(check_balance(g, method))
-        except NotUnitWeightTypeError as exc:
-            print(f"dqbalance: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+    reports = [check_balance(g, method) for method in methods]
     for report in reports:
         _print_report(report, args.json)
     return _verdict_exit([r.verdict for r in reports])
@@ -246,6 +241,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dqbalance: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except MemoryError:
+        print("dqbalance: out of memory", file=sys.stderr)
+        return MEMORY_EXIT
 
 
 if __name__ == "__main__":

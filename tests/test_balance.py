@@ -159,12 +159,38 @@ def test_direct_symmetry_stage(rng):
     assert cycle_deviation(g, report.witness) > 1e-6
 
 
-def test_direct_requires_connected(rng):
-    g = build(4, [(1, 2), (3, 4)],
-              {(1, 2): random_udq(rng), (3, 4): random_udq(rng)},
-              WeightType.UNIT_DUAL_QUATERNION)
-    with pytest.raises(NotConnectedError):
-        direct_method(g)
+def too_few_arcs(rng):
+    """Two arcs on four vertices."""
+    return build(4, [(1, 2), (3, 4)], {(1, 2): random_udq(rng), (3, 4): random_udq(rng)},
+                 WeightType.UNIT_DUAL_QUATERNION)
+
+
+def two_triangles(rng):
+    """Two disjoint directed triangles: six arcs on six vertices."""
+    arcs = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
+    return build(6, arcs, {arc: random_udq(rng) for arc in arcs},
+                 WeightType.UNIT_DUAL_QUATERNION)
+
+
+@pytest.mark.parametrize("method", [direct_method, gain_graph_method, wdg_similarity_method,
+                                    build_potential], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("graph", [too_few_arcs, two_triangles], ids=lambda f: f.__name__)
+def test_tree_methods_require_connected(rng, monkeypatch, graph, method):
+    # Fewer than n - 1 arcs is decided before the spanning forest is grown;
+    # the triangles have enough arcs, and the forest's two roots decide.
+    g = graph(rng)
+    forests = []
+    spanning_forest = balance.spanning_forest
+
+    def recorded(*args):
+        forests.append(args)
+        return spanning_forest(*args)
+    monkeypatch.setattr(balance, "spanning_forest", recorded)
+    with pytest.raises(NotConnectedError,
+                       match=f"^{method.__name__} requires a weakly connected graph$"):
+        method(g)
+    assert len(forests) == (graph is two_triangles)
+    assert isinstance(cycle_oracle(g).verdict, Verdict)     # the oracle takes any graph
 
 
 def test_direct_requires_unit_type():
@@ -605,6 +631,39 @@ def test_switched_frame_matches_the_dense_pipeline(monkeypatch):
     assert sum(seen[route, stage] for route, stage in seen if route == "switched") >= 500, seen
 
 
+@pytest.mark.parametrize("wt", UNIT_TYPES)
+def test_a_deficient_capacitance_matrix_takes_the_dense_pipeline(monkeypatch, wt):
+    # A zero capacitance matrix is rank-deficient: `_switched_solves` gives up
+    # after factoring it, and the decide must be the dense pipeline's.
+    capacitances, routes = [], []
+    switched_solves = balance._switched_solves
+
+    def zero(S, H):
+        capacitances.append(len(S))
+        return np.zeros((len(S), len(S), 4))
+
+    def recorded(*args):
+        out = switched_solves(*args)
+        routes.append(out)
+        return out
+    monkeypatch.setattr(balance, "_capacitance", zero)
+    monkeypatch.setattr(balance, "_switched_solves", recorded)
+    rng = np.random.default_rng(34)
+    for n in (4, 5, 8, 13, 40):
+        g = gen_cycle(n, wt, rng)
+        g = perturb(g, cycle_arc(g), rng)
+        tp = _tree_potential(g)
+        for method, solved in ((direct_method, g), (gain_graph_method, symmetrized_gain_graph(g))):
+            capacitances.clear()
+            report = method(g)
+            assert capacitances and routes[-1] is None, (method.__name__, n)
+            reference = _null_space_pipeline(g, laplacian(solved), report.method)
+            assert reference.verdict is Verdict.UNBALANCED
+            assert (report.verdict, report.failure_stage) == (
+                reference.verdict, reference.failure_stage), (method.__name__, n)
+            assert report.witness == balance._closing_cycle(g, *tp.forest, tp.bad)
+
+
 @pytest.fixture
 def no_dense_solve(monkeypatch):
     def unused(*args, **kwargs):
@@ -888,14 +947,6 @@ def test_build_potential_fails_on_negative_cycle():
     g = build(3, [(1, 2), (2, 3), (3, 1)],
               {(1, 2): I, (2, 3): I, (3, 1): ONE}, WeightType.COMPLEX)
     assert build_potential(g) is None
-
-
-def test_build_potential_requires_connected(rng):
-    g = build(4, [(1, 2), (3, 4)],
-              {(1, 2): random_udq(rng), (3, 4): random_udq(rng)},
-              WeightType.UNIT_DUAL_QUATERNION)
-    with pytest.raises(NotConnectedError):
-        build_potential(g)
 
 
 def test_wdg_similarity_unit_graph(rng):

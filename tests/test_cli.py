@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dqbalance
 from dqbalance.cli import main
-from dqbalance.generate import gen_random_balanced
+from dqbalance.generate import gen_cycle, gen_random_balanced
 from dqbalance.graphs import build
-from dqbalance.serialize import load_graph, save_graph
+from dqbalance.serialize import dumps_graph, load_graph, save_graph
 
 
 def run(capsys, *argv):
@@ -133,6 +138,39 @@ def test_an_invalid_document_is_an_input_error(tmp_path, capsys, weight_type, ar
         code, out, err = run(capsys, *command)
         assert code == 4 and out == ""
         assert message in err and "Traceback" not in err
+
+
+# `main` in a child process whose address space is capped at 512 MB.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from dqbalance.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("method", ["direct", "gain", "wdg", "all", "cycles"])
+def test_a_billion_vertex_document_is_no_verdict(tmp_path, method):
+    # A 4-cycle declared with n = 10^9.  The methods that need a connected
+    # graph reject it from its arc count; the oracle takes any graph and
+    # runs out of memory, which must not read as a verdict either.
+    doc = json.loads(dumps_graph(gen_cycle(4, "unit_dual_quaternion", 0)))
+    doc["n"] = 10 ** 9
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(dqbalance.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "check", str(path),
+                            "--method", method],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in child.stderr and child.stdout == ""
+    if method == "cycles":
+        assert child.returncode == 5
+        assert "out of memory" in child.stderr
+    else:
+        assert child.returncode == 3
+        assert "requires a weakly connected graph" in child.stderr
 
 
 def test_missing_file_is_io_error(capsys):
